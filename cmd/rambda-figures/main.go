@@ -8,6 +8,7 @@
 //	go run ./cmd/rambda-figures -quick       # smaller workloads
 //	go run ./cmd/rambda-figures -parallel 1  # sequential (pre-harness behaviour)
 //	go run ./cmd/rambda-figures -sim-parallel 4  # partitioned engine, 4 goroutines per sim
+//	go run ./cmd/rambda-figures -obs-dir out     # also write out/<id>.{trace,metrics}.json
 //
 // Every figure enumerates its sweep as independent runner jobs; the
 // CLI flattens all selected figures into a single worker pool so whole
@@ -38,12 +39,15 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after all figures) to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	traceOut := flag.String("trace-out", "", "write the breakdown experiment's spans as Chrome trace_event JSON to this file")
-	metricsOut := flag.String("metrics-out", "", "write the breakdown experiment's metrics registry as JSON to this file")
-	scaleoutMetricsOut := flag.String("scaleout-metrics-out", "", "write the scaleout sweep's per-point metrics registries as JSON to this file")
-	chaosScaleoutMetricsOut := flag.String("chaos-scaleout-metrics-out", "", "write the chaos-scaleout sweep's per-point metrics registries (scaleout + fault-layer gauges) as JSON to this file")
-	ycsbMetricsOut := flag.String("ycsb-metrics-out", "", "write the ycsb sweep's per-point storage-backend metrics registries as JSON to this file")
+	obsDir := flag.String("obs-dir", "", "write each collecting experiment's exports into this directory as <id>.trace.json (Chrome trace_event spans) and <id>.metrics.json (metrics registries)")
 	flag.Parse()
+
+	if *obsDir != "" {
+		if err := os.MkdirAll(*obsDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -88,13 +92,7 @@ func main() {
 	runner.SetDefault(*parallel)
 	sim.SetParallel(*simParallel)
 
-	specs := experiments.StandardSpecsPaths(*quick, experiments.ObsPaths{
-		TraceOut:                *traceOut,
-		MetricsOut:              *metricsOut,
-		ScaleoutMetricsOut:      *scaleoutMetricsOut,
-		ChaosScaleoutMetricsOut: *chaosScaleoutMetricsOut,
-		YCSBMetricsOut:          *ycsbMetricsOut,
-	})
+	specs := experiments.StandardSpecsObs(*quick, *obsDir)
 
 	var selected []experiments.Spec
 	for _, s := range specs {

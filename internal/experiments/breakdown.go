@@ -19,12 +19,6 @@ type BreakdownConfig struct {
 	Requests int
 	Seed     uint64
 	Parallel int // sweep-point workers; 0 = runner default
-
-	// TraceOut and MetricsOut, when non-empty, export the collected
-	// spans as Chrome trace_event JSON and the metrics registry as JSON
-	// after the jobs have run. Same seed, same files, byte for byte.
-	TraceOut   string
-	MetricsOut string
 }
 
 // DefaultBreakdownConfig returns the standalone experiment size.
@@ -96,7 +90,7 @@ var breakdownPaths = []struct {
 	{"fig8/RAMBDA", breakdownKVS},
 }
 
-func breakdownRender(cfg BreakdownConfig, traces []*obs.Trace, regs []*obs.Registry) *Table {
+func breakdownRender(obsDir string, traces []*obs.Trace, regs []*obs.Registry) *Table {
 	t := &Table{
 		ID:      "breakdown",
 		Title:   "Per-stage latency breakdown (virtual-time self time, collector attached)",
@@ -111,34 +105,21 @@ func breakdownRender(cfg BreakdownConfig, traces []*obs.Trace, regs []*obs.Regis
 				r.Self.String(), fmt.Sprintf("%.1f%%", r.Share*100))
 		}
 	}
-	if cfg.TraceOut != "" {
+	if obsDir != "" {
 		tj := make([]obs.TraceJSON, len(breakdownPaths))
-		for i, p := range breakdownPaths {
-			tj[i] = obs.TraceJSON{Name: p.name, Trace: traces[i], PID: i + 1}
-		}
-		if err := obs.WriteChromeTraceFile(cfg.TraceOut, tj); err != nil {
-			panic(fmt.Sprintf("breakdown: write trace: %v", err))
-		}
-		// Constant note (no path): the rendered table must stay
-		// byte-identical across runs that export to different files.
-		t.Notes = append(t.Notes, "chrome trace exported (-trace-out)")
-	}
-	if cfg.MetricsOut != "" {
 		mj := make([]obs.MetricsJSON, len(breakdownPaths))
 		for i, p := range breakdownPaths {
+			tj[i] = obs.TraceJSON{Name: p.name, Trace: traces[i], PID: i + 1}
 			mj[i] = obs.MetricsJSON{Name: p.name, Registry: regs[i]}
 		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("breakdown: write metrics: %v", err))
-		}
-		t.Notes = append(t.Notes, "metrics exported (-metrics-out)")
+		writeExports(obsDir, t.ID, tj, mj)
 	}
 	return t
 }
 
 // breakdownPlan enumerates the paths as runner jobs, each with its own
 // slot-indexed collector.
-func breakdownPlan(cfg BreakdownConfig) (func() *Table, []runner.Job) {
+func breakdownPlan(cfg BreakdownConfig, obsDir string) (func() *Table, []runner.Job) {
 	traces := make([]*obs.Trace, len(breakdownPaths))
 	regs := make([]*obs.Registry, len(breakdownPaths))
 	jobs := runner.Jobs("breakdown", len(breakdownPaths),
@@ -148,16 +129,18 @@ func breakdownPlan(cfg BreakdownConfig) (func() *Table, []runner.Job) {
 			regs[i] = obs.NewRegistry()
 			breakdownPaths[i].run(cfg, traces[i], regs[i])
 		})
-	return func() *Table { return breakdownRender(cfg, traces, regs) }, jobs
+	return func() *Table { return breakdownRender(obsDir, traces, regs) }, jobs
 }
 
-// BreakdownSpec exposes the experiment for a shared pool.
-func BreakdownSpec(cfg BreakdownConfig) Spec {
-	table, jobs := breakdownPlan(cfg)
+// BreakdownSpec exposes the experiment for a shared pool. The collector
+// is always attached; a non-empty obsDir also exports its spans and
+// registries as obsDir/breakdown.{trace,metrics}.json.
+func BreakdownSpec(cfg BreakdownConfig, obsDir string) Spec {
+	table, jobs := breakdownPlan(cfg, obsDir)
 	return Spec{ID: "breakdown", Jobs: jobs, Table: table}
 }
 
 // Breakdown runs the experiment and renders its table.
 func Breakdown(cfg BreakdownConfig) *Table {
-	return RunSpec(cfg.Parallel, BreakdownSpec(cfg))
+	return RunSpec(cfg.Parallel, BreakdownSpec(cfg, ""))
 }

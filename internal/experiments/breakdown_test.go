@@ -9,13 +9,10 @@ import (
 	"testing"
 )
 
-// smallBreakdown returns a fast configuration with exports under dir.
-func smallBreakdown(dir, tag string) BreakdownConfig {
+// smallBreakdown returns a fast configuration.
+func smallBreakdown() BreakdownConfig {
 	cfg := DefaultBreakdownConfig()
 	cfg.Requests = 400
-	cfg.Parallel = 2
-	cfg.TraceOut = filepath.Join(dir, "trace-"+tag+".json")
-	cfg.MetricsOut = filepath.Join(dir, "metrics-"+tag+".json")
 	return cfg
 }
 
@@ -25,32 +22,33 @@ func smallBreakdown(dir, tag string) BreakdownConfig {
 // timestamp math, and sorted metric names leave no room for run-to-run
 // noise.
 func TestBreakdownDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallBreakdown(dir, "a")
-	b := smallBreakdown(dir, "b")
-	Breakdown(a)
-	b.Parallel = 1 // scheduling must not matter either
-	Breakdown(b)
-
-	for _, pair := range [][2]string{
-		{a.TraceOut, b.TraceOut},
-		{a.MetricsOut, b.MetricsOut},
-	} {
-		x, err := os.ReadFile(pair[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := os.ReadFile(pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(x) == 0 {
-			t.Fatalf("%s: empty export", pair[0])
-		}
-		if !bytes.Equal(x, y) {
-			t.Fatalf("%s and %s differ: same seed must export byte-identical files", pair[0], pair[1])
-		}
+	a, b := t.TempDir(), t.TempDir()
+	RunSpec(2, BreakdownSpec(smallBreakdown(), a))
+	RunSpec(1, BreakdownSpec(smallBreakdown(), b)) // scheduling must not matter either
+	for _, name := range []string{"breakdown.trace.json", "breakdown.metrics.json"} {
+		sameExport(t, filepath.Join(a, name), filepath.Join(b, name))
 	}
+}
+
+// sameExport fails unless the two export files exist, are non-empty,
+// and are byte-identical.
+func sameExport(t *testing.T, a, b string) []byte {
+	t.Helper()
+	x, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(x) == 0 {
+		t.Fatalf("%s: empty export", a)
+	}
+	if !bytes.Equal(x, y) {
+		t.Fatalf("%s and %s differ: same seed must export byte-identical files", a, b)
+	}
+	return x
 }
 
 // TestBreakdownTable smoke-tests the per-stage latency table: every
@@ -58,10 +56,7 @@ func TestBreakdownDeterministicExports(t *testing.T) {
 // ~100%, and the fig7 KVS-style path must attribute time to the core
 // pipeline stages.
 func TestBreakdownTable(t *testing.T) {
-	cfg := DefaultBreakdownConfig()
-	cfg.Requests = 400
-	cfg.Parallel = 2
-	tab := Breakdown(cfg)
+	tab := RunSpec(2, BreakdownSpec(smallBreakdown(), ""))
 	if tab.ID != "breakdown" {
 		t.Fatalf("table ID = %q", tab.ID)
 	}

@@ -55,11 +55,6 @@ type ChaosScaleoutConfig struct {
 
 	Seed     uint64
 	Parallel int // sweep-point workers; 0 = runner default
-
-	// MetricsOut, when non-empty, exports every point's registry —
-	// the scaleout gauges plus the fault-layer counters — as one JSON
-	// file after the jobs have run.
-	MetricsOut string
 }
 
 // DefaultChaosScaleoutConfig returns the full-size sweep.
@@ -293,7 +288,7 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 // chaosScaleoutPlan enumerates the grid as runner jobs, slot-indexed so
 // the rendered table and the metrics export are identical for every
 // worker count.
-func chaosScaleoutPlan(cfg ChaosScaleoutConfig) (func() *Table, []runner.Job) {
+func chaosScaleoutPlan(cfg ChaosScaleoutConfig, obsDir string) (func() *Table, []runner.Job) {
 	type point struct {
 		shards, crash int
 		arrival       string
@@ -306,27 +301,21 @@ func chaosScaleoutPlan(cfg ChaosScaleoutConfig) (func() *Table, []runner.Job) {
 			}
 		}
 	}
-	rows := make([]ChaosScaleoutRow, len(points))
-	var regs []*obs.Registry
-	if cfg.MetricsOut != "" {
-		regs = make([]*obs.Registry, len(points))
+	name := func(i int) string {
+		return fmt.Sprintf("shards=%d/crash=%d/%s", points[i].shards, points[i].crash, points[i].arrival)
 	}
-	jobs := runner.Jobs("chaos-scaleout", len(points),
-		func(i int) string {
-			return fmt.Sprintf("shards=%d/crash=%d/%s", points[i].shards, points[i].crash, points[i].arrival)
-		},
-		func(i int) {
-			var reg *obs.Registry
-			if regs != nil {
-				regs[i] = obs.NewRegistry()
-				reg = regs[i]
-			}
-			rows[i] = chaosScaleoutPoint(cfg, points[i].shards, points[i].crash, points[i].arrival, i, reg)
-		})
-	return func() *Table { return chaosScaleoutRender(cfg, rows, regs) }, jobs
+	rows := make([]ChaosScaleoutRow, len(points))
+	regs := newPointRegistries(len(points), obsDir)
+	jobs := runner.Jobs("chaos-scaleout", len(points), name, func(i int) {
+		rows[i] = chaosScaleoutPoint(cfg, points[i].shards, points[i].crash, points[i].arrival, i, regs.at(i))
+	})
+	return func() *Table {
+		regs.export(obsDir, "chaos-scaleout", name)
+		return chaosScaleoutRender(cfg, rows)
+	}, jobs
 }
 
-func chaosScaleoutRender(cfg ChaosScaleoutConfig, rows []ChaosScaleoutRow, regs []*obs.Registry) *Table {
+func chaosScaleoutRender(cfg ChaosScaleoutConfig, rows []ChaosScaleoutRow) *Table {
 	t := &Table{
 		ID:    "chaos-scaleout",
 		Title: "Sharded cluster under crash storms: failover, elastic resharding, retry budgets",
@@ -357,27 +346,19 @@ func chaosScaleoutRender(cfg ChaosScaleoutConfig, rows []ChaosScaleoutRow, regs 
 			state,
 		)
 	}
-	if cfg.MetricsOut != "" {
-		mj := make([]obs.MetricsJSON, len(regs))
-		for i, reg := range regs {
-			mj[i] = obs.MetricsJSON{Name: fmt.Sprintf("shards=%d/crash=%d/%s",
-				rows[i].Shards, rows[i].CrashPerK, rows[i].Arrival), Registry: reg}
-		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("chaos-scaleout: write metrics: %v", err))
-		}
-		t.Notes = append(t.Notes, "metrics exported (-chaos-scaleout-metrics-out)")
-	}
 	return t
 }
 
-// ChaosScaleoutSpec exposes the sweep for a shared pool.
-func ChaosScaleoutSpec(cfg ChaosScaleoutConfig) Spec {
-	table, jobs := chaosScaleoutPlan(cfg)
+// ChaosScaleoutSpec exposes the sweep for a shared pool. A non-empty
+// obsDir collects every point's registry — the scaleout gauges plus the
+// fault-layer counters — and exports them as
+// obsDir/chaos-scaleout.metrics.json.
+func ChaosScaleoutSpec(cfg ChaosScaleoutConfig, obsDir string) Spec {
+	table, jobs := chaosScaleoutPlan(cfg, obsDir)
 	return Spec{ID: "chaos-scaleout", Jobs: jobs, Table: table}
 }
 
 // ChaosScaleoutTable runs the whole sweep and renders it.
 func ChaosScaleoutTable(cfg ChaosScaleoutConfig) *Table {
-	return RunSpec(cfg.Parallel, ChaosScaleoutSpec(cfg))
+	return RunSpec(cfg.Parallel, ChaosScaleoutSpec(cfg, ""))
 }

@@ -1,22 +1,17 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 )
 
-// smallChaosScaleout returns a fast sweep with the metrics export
-// under dir.
-func smallChaosScaleout(dir, tag string) ChaosScaleoutConfig {
+// smallChaosScaleout returns a fast sweep.
+func smallChaosScaleout() ChaosScaleoutConfig {
 	cfg := DefaultChaosScaleoutConfig()
 	cfg.Shards = []int{4}
 	cfg.CrashPerK = []int{0, 4}
 	cfg.Keys = 1 << 11
 	cfg.Requests = 2400
-	cfg.Parallel = 2
-	cfg.MetricsOut = filepath.Join(dir, "chaos-scaleout-metrics-"+tag+".json")
 	return cfg
 }
 
@@ -26,30 +21,13 @@ func smallChaosScaleout(dir, tag string) ChaosScaleoutConfig {
 // rendered table and the metrics export must be byte-identical across
 // runs and across worker counts.
 func TestChaosScaleoutDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallChaosScaleout(dir, "a")
-	b := smallChaosScaleout(dir, "b")
-	ta := ChaosScaleoutTable(a).String()
-	b.Parallel = 1 // scheduling must not matter either
-	tb := ChaosScaleoutTable(b).String()
+	a, b := t.TempDir(), t.TempDir()
+	ta := RunSpec(2, ChaosScaleoutSpec(smallChaosScaleout(), a)).String()
+	tb := RunSpec(1, ChaosScaleoutSpec(smallChaosScaleout(), b)).String() // scheduling must not matter either
 	if ta != tb {
 		t.Fatalf("same seed, different tables:\n%s\n---\n%s", ta, tb)
 	}
-
-	x, err := os.ReadFile(a.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := os.ReadFile(b.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) == 0 {
-		t.Fatalf("%s: empty export", a.MetricsOut)
-	}
-	if !bytes.Equal(x, y) {
-		t.Fatalf("metrics exports differ: same seed must export byte-identical files")
-	}
+	sameExport(t, filepath.Join(a, "chaos-scaleout.metrics.json"), filepath.Join(b, "chaos-scaleout.metrics.json"))
 }
 
 // TestChaosScaleoutConvergesUnderCrashes pins the gate's headline

@@ -9,11 +9,13 @@ package experiments
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 
 	"rambda/internal/core"
 	"rambda/internal/memdev"
 	"rambda/internal/memspace"
+	"rambda/internal/obs"
 	"rambda/internal/runner"
 )
 
@@ -31,37 +33,21 @@ type Spec struct {
 	Table func() *Table // render; call only after Jobs have all run
 }
 
-// StandardSpecs enumerates every paper figure in print order, at full
-// or quick scale — the single source of the sweep configuration shared
-// by cmd/rambda-figures, cmd/rambda-bench, and the output-pinning
-// tests.
+// StandardSpecs enumerates every experiment in print order, at full or
+// quick scale — the single source of the sweep configuration shared by
+// cmd/rambda-figures, cmd/rambda-bench, and the output-pinning tests.
+// It exports nothing, so every collector-capable spec stays on the
+// nil-collector fast path it has in the paper figures.
 func StandardSpecs(quick bool) []Spec {
-	return StandardSpecsObs(quick, "", "")
+	return StandardSpecsObs(quick, "")
 }
 
-// StandardSpecsObs is StandardSpecs with observability export paths for
-// the breakdown experiment: non-empty traceOut/metricsOut make the
-// breakdown spec write its Chrome trace / metrics JSON files after its
-// jobs have run. Empty strings (the StandardSpecs default) export
-// nothing; either way the collector only ever attaches to the breakdown
-// spec's own machines, so the paper figures stay on the nil fast path.
-func StandardSpecsObs(quick bool, traceOut, metricsOut string) []Spec {
-	return StandardSpecsPaths(quick, ObsPaths{TraceOut: traceOut, MetricsOut: metricsOut})
-}
-
-// ObsPaths carries the export destinations of the non-paper specs:
-// breakdown's Chrome trace and metrics registry, and the scaleout
-// sweep's per-point metrics registries. Empty fields export nothing.
-type ObsPaths struct {
-	TraceOut                string
-	MetricsOut              string
-	ScaleoutMetricsOut      string
-	ChaosScaleoutMetricsOut string
-	YCSBMetricsOut          string
-}
-
-// StandardSpecsPaths is the full enumeration with every export path.
-func StandardSpecsPaths(quick bool, paths ObsPaths) []Spec {
+// StandardSpecsObs is StandardSpecs with observability exports: with a
+// non-empty obsDir, every spec that collects data writes
+// obsDir/<id>.trace.json (Chrome trace_event spans) and/or
+// obsDir/<id>.metrics.json (metrics registries) when its table renders.
+// Tables are identical either way.
+func StandardSpecsObs(quick bool, obsDir string) []Spec {
 	f7 := DefaultFig7Config()
 	kvs := DefaultKVSConfig()
 	f12 := DefaultFig12Config()
@@ -91,10 +77,6 @@ func StandardSpecsPaths(quick bool, paths ObsPaths) []Spec {
 		yc.Keys = 1 << 13
 		yc.Requests = 4000
 	}
-	bd.TraceOut, bd.MetricsOut = paths.TraceOut, paths.MetricsOut
-	sc.MetricsOut = paths.ScaleoutMetricsOut
-	cso.MetricsOut = paths.ChaosScaleoutMetricsOut
-	yc.MetricsOut = paths.YCSBMetricsOut
 	// The chaos spec stays after the paper figures: figure goldens pin
 	// their print order, and non-paper experiments (chaos, breakdown,
 	// scaleout) append after them.
@@ -110,10 +92,10 @@ func StandardSpecsPaths(quick bool, paths ObsPaths) []Spec {
 		Fig13Spec(f13),
 		ScalabilitySpec(DefaultScalabilityConfig()),
 		ChaosSpec(chaos),
-		BreakdownSpec(bd),
-		ScaleoutSpec(sc),
-		ChaosScaleoutSpec(cso),
-		YCSBSpec(yc),
+		BreakdownSpec(bd, obsDir),
+		ScaleoutSpec(sc, obsDir),
+		ChaosScaleoutSpec(cso, obsDir),
+		YCSBSpec(yc, obsDir),
 	}
 }
 
@@ -122,6 +104,58 @@ func StandardSpecsPaths(quick bool, paths ObsPaths) []Spec {
 func RunSpec(parallel int, s Spec) *Table {
 	runner.MustRun(parallel, s.Jobs)
 	return s.Table()
+}
+
+// writeExports writes a spec's collected data under obsDir as
+// <id>.trace.json (skipped when traces is nil) and <id>.metrics.json.
+// Same seed, same files, byte for byte.
+func writeExports(obsDir, id string, traces []obs.TraceJSON, metrics []obs.MetricsJSON) {
+	if traces != nil {
+		if err := obs.WriteChromeTraceFile(filepath.Join(obsDir, id+".trace.json"), traces); err != nil {
+			panic(fmt.Sprintf("%s: write trace: %v", id, err))
+		}
+	}
+	if err := obs.WriteMetricsFile(filepath.Join(obsDir, id+".metrics.json"), metrics); err != nil {
+		panic(fmt.Sprintf("%s: write metrics: %v", id, err))
+	}
+}
+
+// pointRegistries holds one metrics registry per sweep point of a spec
+// that exports, slot-indexed like the rows so the export is identical
+// for every worker count. It is nil when the spec exports nothing,
+// which keeps every point on the collector-free path.
+type pointRegistries []*obs.Registry
+
+func newPointRegistries(points int, obsDir string) pointRegistries {
+	if obsDir == "" {
+		return nil
+	}
+	regs := make(pointRegistries, points)
+	for i := range regs {
+		regs[i] = obs.NewRegistry()
+	}
+	return regs
+}
+
+// at returns point i's registry, or nil when nothing is collected.
+func (r pointRegistries) at(i int) *obs.Registry {
+	if r == nil {
+		return nil
+	}
+	return r[i]
+}
+
+// export writes the registries as obsDir/<id>.metrics.json, naming
+// point i name(i). It does nothing when nothing was collected.
+func (r pointRegistries) export(obsDir, id string, name func(i int) string) {
+	if r == nil {
+		return
+	}
+	mj := make([]obs.MetricsJSON, len(r))
+	for i, reg := range r {
+		mj[i] = obs.MetricsJSON{Name: name(i), Registry: reg}
+	}
+	writeExports(obsDir, id, nil, mj)
 }
 
 // Table is a rendered experiment result.

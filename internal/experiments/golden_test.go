@@ -27,11 +27,13 @@ const exportsManifest = "exports_quick.sha256"
 
 func goldenPath(id string) string { return filepath.Join("testdata", id+"_quick.golden") }
 
-// TestQuickFigureGoldenOutput pins every table of StandardSpecs(true)
-// byte for byte against testdata/<id>_quick.golden, and every
-// observability export (SHA-256 and size; the breakdown Chrome trace is
-// megabytes) against testdata/exports_quick.sha256. Any diff means the
-// model's virtual-time behaviour drifted, not just a formatting nit.
+// TestQuickFigureGoldenOutput pins every quick table byte for byte
+// against testdata/<id>_quick.golden, and every observability export
+// (SHA-256 and size; the breakdown Chrome trace is megabytes) against
+// testdata/exports_quick.sha256. The sweep runs with exports on, so it
+// also pins that exporting leaves the tables untouched (the goldens are
+// what StandardSpecs(true) prints). Any diff means the model's
+// virtual-time behaviour drifted, not just a formatting nit.
 func TestQuickFigureGoldenOutput(t *testing.T) {
 	if goldenRaceEnabled {
 		t.Skip("quick figure sweeps are too slow under -race; determinism is covered unraced")
@@ -39,7 +41,8 @@ func TestQuickFigureGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick figure sweeps take minutes; skipped with -short")
 	}
-	specs := StandardSpecs(true)
+	dir := t.TempDir()
+	specs := StandardSpecsObs(true, dir)
 	var jobs []runner.Job
 	for _, s := range specs {
 		jobs = append(jobs, s.Jobs...)
@@ -64,29 +67,6 @@ func TestQuickFigureGoldenOutput(t *testing.T) {
 		})
 	}
 
-	dir := t.TempDir()
-	out := func(name string) string { return filepath.Join(dir, name) }
-	var exporting []Spec
-	for _, s := range StandardSpecsPaths(true, ObsPaths{
-		TraceOut:                out("breakdown.trace.json"),
-		MetricsOut:              out("breakdown.metrics.json"),
-		ScaleoutMetricsOut:      out("scaleout.metrics.json"),
-		ChaosScaleoutMetricsOut: out("chaos-scaleout.metrics.json"),
-		YCSBMetricsOut:          out("ycsb.metrics.json"),
-	}) {
-		switch s.ID {
-		case "breakdown", "scaleout", "chaos-scaleout", "ycsb":
-			exporting = append(exporting, s)
-		}
-	}
-	jobs = jobs[:0]
-	for _, s := range exporting {
-		jobs = append(jobs, s.Jobs...)
-	}
-	runner.MustRun(0, jobs)
-	for _, s := range exporting {
-		s.Table()
-	}
 	t.Run("exports", func(t *testing.T) {
 		got, err := exportDigests(dir)
 		if err != nil {

@@ -48,12 +48,6 @@ type ScaleoutConfig struct {
 	// collapse a closed loop structurally cannot show. 0 (the default)
 	// keeps the closed loop and its byte-identical output.
 	OpenLoopInterval sim.Duration
-
-	// MetricsOut, when non-empty, exports every point's metrics
-	// registry (imbalance gauge, migration counters, per-shard served
-	// counts over virtual time) as one JSON file after the jobs have
-	// run. Same seed, same file, byte for byte.
-	MetricsOut string
 }
 
 // DefaultScaleoutConfig returns the full-size sweep.
@@ -215,9 +209,7 @@ func scaleoutPoint(cfg ScaleoutConfig, shards int, theta float64, point int,
 }
 
 // scaleoutPlan enumerates the (shards x theta) grid as runner jobs.
-// Registries are slot-indexed like the rows, so the export is identical
-// for every worker count.
-func scaleoutPlan(cfg ScaleoutConfig) (func() *Table, []runner.Job) {
+func scaleoutPlan(cfg ScaleoutConfig, obsDir string) (func() *Table, []runner.Job) {
 	type point struct {
 		shards int
 		theta  float64
@@ -228,27 +220,21 @@ func scaleoutPlan(cfg ScaleoutConfig) (func() *Table, []runner.Job) {
 			points = append(points, point{s, th})
 		}
 	}
-	rows := make([]ScaleoutRow, len(points))
-	var regs []*obs.Registry
-	if cfg.MetricsOut != "" {
-		regs = make([]*obs.Registry, len(points))
+	name := func(i int) string {
+		return fmt.Sprintf("shards=%d/%s", points[i].shards, scaleoutDist(points[i].theta))
 	}
-	jobs := runner.Jobs("scaleout", len(points),
-		func(i int) string {
-			return fmt.Sprintf("shards=%d/%s", points[i].shards, scaleoutDist(points[i].theta))
-		},
-		func(i int) {
-			var reg *obs.Registry
-			if regs != nil {
-				regs[i] = obs.NewRegistry()
-				reg = regs[i]
-			}
-			rows[i] = scaleoutPoint(cfg, points[i].shards, points[i].theta, i, reg)
-		})
-	return func() *Table { return scaleoutRender(cfg, rows, regs) }, jobs
+	rows := make([]ScaleoutRow, len(points))
+	regs := newPointRegistries(len(points), obsDir)
+	jobs := runner.Jobs("scaleout", len(points), name, func(i int) {
+		rows[i] = scaleoutPoint(cfg, points[i].shards, points[i].theta, i, regs.at(i))
+	})
+	return func() *Table {
+		regs.export(obsDir, "scaleout", name)
+		return scaleoutRender(rows)
+	}, jobs
 }
 
-func scaleoutRender(cfg ScaleoutConfig, rows []ScaleoutRow, regs []*obs.Registry) *Table {
+func scaleoutRender(rows []ScaleoutRow) *Table {
 	t := &Table{
 		ID:    "scaleout",
 		Title: "Sharded scale-out KVS: consistent hashing + hot-key migration",
@@ -273,29 +259,19 @@ func scaleoutRender(cfg ScaleoutConfig, rows []ScaleoutRow, regs []*obs.Registry
 			f2(r.ImbLast),
 		)
 	}
-	if cfg.MetricsOut != "" {
-		mj := make([]obs.MetricsJSON, len(regs))
-		for i, reg := range regs {
-			mj[i] = obs.MetricsJSON{Name: fmt.Sprintf("shards=%d/%s",
-				rows[i].Shards, scaleoutDist(rows[i].Theta)), Registry: reg}
-		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("scaleout: write metrics: %v", err))
-		}
-		// Constant note (no path): the rendered table must stay
-		// byte-identical across runs that export to different files.
-		t.Notes = append(t.Notes, "metrics exported (-scaleout-metrics-out)")
-	}
 	return t
 }
 
-// ScaleoutSpec exposes the sweep for a shared pool.
-func ScaleoutSpec(cfg ScaleoutConfig) Spec {
-	table, jobs := scaleoutPlan(cfg)
+// ScaleoutSpec exposes the sweep for a shared pool. A non-empty obsDir
+// collects every point's metrics registry (imbalance gauge, migration
+// counters, per-shard served counts over virtual time) and exports them
+// as obsDir/scaleout.metrics.json.
+func ScaleoutSpec(cfg ScaleoutConfig, obsDir string) Spec {
+	table, jobs := scaleoutPlan(cfg, obsDir)
 	return Spec{ID: "scaleout", Jobs: jobs, Table: table}
 }
 
 // ScaleoutTable runs the whole sweep and renders it.
 func ScaleoutTable(cfg ScaleoutConfig) *Table {
-	return RunSpec(cfg.Parallel, ScaleoutSpec(cfg))
+	return RunSpec(cfg.Parallel, ScaleoutSpec(cfg, ""))
 }

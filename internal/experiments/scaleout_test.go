@@ -1,21 +1,17 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 )
 
-// smallScaleout returns a fast sweep with the metrics export under dir.
-func smallScaleout(dir, tag string) ScaleoutConfig {
+// smallScaleout returns a fast sweep.
+func smallScaleout() ScaleoutConfig {
 	cfg := DefaultScaleoutConfig()
 	cfg.Shards = []int{2, 4}
 	cfg.Thetas = []float64{0, 0.99}
 	cfg.Keys = 1 << 11
 	cfg.Requests = 2400
-	cfg.Parallel = 2
-	cfg.MetricsOut = filepath.Join(dir, "scaleout-metrics-"+tag+".json")
 	return cfg
 }
 
@@ -25,30 +21,13 @@ func smallScaleout(dir, tag string) ScaleoutConfig {
 // stale retries, and per-shard loads are all functions of the seed
 // alone, never of scheduling.
 func TestScaleoutDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallScaleout(dir, "a")
-	b := smallScaleout(dir, "b")
-	ta := ScaleoutTable(a).String()
-	b.Parallel = 1 // scheduling must not matter either
-	tb := ScaleoutTable(b).String()
+	a, b := t.TempDir(), t.TempDir()
+	ta := RunSpec(2, ScaleoutSpec(smallScaleout(), a)).String()
+	tb := RunSpec(1, ScaleoutSpec(smallScaleout(), b)).String() // scheduling must not matter either
 	if ta != tb {
 		t.Fatalf("same seed, different tables:\n%s\n---\n%s", ta, tb)
 	}
-
-	x, err := os.ReadFile(a.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := os.ReadFile(b.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) == 0 {
-		t.Fatalf("%s: empty export", a.MetricsOut)
-	}
-	if !bytes.Equal(x, y) {
-		t.Fatalf("metrics exports differ: same seed must export byte-identical files")
-	}
+	sameExport(t, filepath.Join(a, "scaleout.metrics.json"), filepath.Join(b, "scaleout.metrics.json"))
 }
 
 // TestScaleoutSkewRebalances pins the experiment's headline claim: at

@@ -36,12 +36,6 @@ type YCSBConfig struct {
 	ZipfTheta   float64
 	Seed        uint64
 	Parallel    int // sweep-point workers; 0 = runner default
-
-	// MetricsOut, when non-empty, exports every point's backend metrics
-	// registry (memtable/run gauges, flush/compaction/stall counters,
-	// hash hit rates) as one JSON file after the jobs have run. Same
-	// seed, same file, byte for byte.
-	MetricsOut string
 }
 
 // DefaultYCSBConfig returns the full-size sweep.
@@ -340,10 +334,8 @@ func ycsbPoint(cfg YCSBConfig, mix ycsbMix, backend string, point int, reg *obs.
 	return row
 }
 
-// ycsbPlan enumerates (mix × backend) as runner jobs. Registries are
-// slot-indexed like the rows, so the export is identical for every
-// worker count.
-func ycsbPlan(cfg YCSBConfig) (func() *Table, []runner.Job) {
+// ycsbPlan enumerates (mix × backend) as runner jobs.
+func ycsbPlan(cfg YCSBConfig, obsDir string) (func() *Table, []runner.Job) {
 	type point struct {
 		mix     ycsbMix
 		backend string
@@ -354,25 +346,19 @@ func ycsbPlan(cfg YCSBConfig) (func() *Table, []runner.Job) {
 			points = append(points, point{m, b})
 		}
 	}
+	name := func(i int) string { return points[i].mix.name + "/" + points[i].backend }
 	rows := make([]YCSBRow, len(points))
-	var regs []*obs.Registry
-	if cfg.MetricsOut != "" {
-		regs = make([]*obs.Registry, len(points))
-	}
-	jobs := runner.Jobs("ycsb", len(points),
-		func(i int) string { return points[i].mix.name + "/" + points[i].backend },
-		func(i int) {
-			var reg *obs.Registry
-			if regs != nil {
-				regs[i] = obs.NewRegistry()
-				reg = regs[i]
-			}
-			rows[i] = ycsbPoint(cfg, points[i].mix, points[i].backend, i, reg)
-		})
-	return func() *Table { return ycsbRender(cfg, rows, regs) }, jobs
+	regs := newPointRegistries(len(points), obsDir)
+	jobs := runner.Jobs("ycsb", len(points), name, func(i int) {
+		rows[i] = ycsbPoint(cfg, points[i].mix, points[i].backend, i, regs.at(i))
+	})
+	return func() *Table {
+		regs.export(obsDir, "ycsb", name)
+		return ycsbRender(rows)
+	}, jobs
 }
 
-func ycsbRender(cfg YCSBConfig, rows []YCSBRow, regs []*obs.Registry) *Table {
+func ycsbRender(rows []YCSBRow) *Table {
 	t := &Table{
 		ID:    "ycsb",
 		Title: "YCSB-style mixes x storage backend (hash vs tiered LSM)",
@@ -398,28 +384,19 @@ func ycsbRender(cfg YCSBConfig, rows []YCSBRow, regs []*obs.Registry) *Table {
 			na(r.Backend, r.Flushes), na(r.Backend, r.Compactions), na(r.Backend, r.Stalls),
 		)
 	}
-	if cfg.MetricsOut != "" {
-		mj := make([]obs.MetricsJSON, len(regs))
-		for i, reg := range regs {
-			mj[i] = obs.MetricsJSON{Name: rows[i].Workload + "/" + rows[i].Backend, Registry: reg}
-		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("ycsb: write metrics: %v", err))
-		}
-		// Constant note (no path): the rendered table must stay
-		// byte-identical across runs that export to different files.
-		t.Notes = append(t.Notes, "metrics exported (-ycsb-metrics-out)")
-	}
 	return t
 }
 
-// YCSBSpec exposes the sweep for a shared pool.
-func YCSBSpec(cfg YCSBConfig) Spec {
-	table, jobs := ycsbPlan(cfg)
+// YCSBSpec exposes the sweep for a shared pool. A non-empty obsDir
+// collects every point's backend metrics registry (memtable/run gauges,
+// flush/compaction/stall counters, hash hit rates) and exports them as
+// obsDir/ycsb.metrics.json.
+func YCSBSpec(cfg YCSBConfig, obsDir string) Spec {
+	table, jobs := ycsbPlan(cfg, obsDir)
 	return Spec{ID: "ycsb", Jobs: jobs, Table: table}
 }
 
 // YCSBTable runs the whole sweep and renders it.
 func YCSBTable(cfg YCSBConfig) *Table {
-	return RunSpec(cfg.Parallel, YCSBSpec(cfg))
+	return RunSpec(cfg.Parallel, YCSBSpec(cfg, ""))
 }

@@ -1,20 +1,16 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// smallYCSB returns a fast sweep with the metrics export under dir.
-func smallYCSB(dir, tag string) YCSBConfig {
+// smallYCSB returns a fast sweep.
+func smallYCSB() YCSBConfig {
 	cfg := DefaultYCSBConfig()
 	cfg.Keys = 1 << 11
 	cfg.Requests = 2400
-	cfg.Parallel = 2
-	cfg.MetricsOut = filepath.Join(dir, "ycsb-metrics-"+tag+".json")
 	return cfg
 }
 
@@ -24,30 +20,13 @@ func smallYCSB(dir, tag string) YCSBConfig {
 // schedules, WAL-wrap stalls, and scan results are functions of the
 // seed alone, never of scheduling.
 func TestYCSBDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallYCSB(dir, "a")
-	b := smallYCSB(dir, "b")
-	ta := YCSBTable(a).String()
-	b.Parallel = 1 // scheduling must not matter either
-	tb := YCSBTable(b).String()
+	a, b := t.TempDir(), t.TempDir()
+	ta := RunSpec(2, YCSBSpec(smallYCSB(), a)).String()
+	tb := RunSpec(1, YCSBSpec(smallYCSB(), b)).String() // scheduling must not matter either
 	if ta != tb {
 		t.Fatalf("same seed, different tables:\n%s\n---\n%s", ta, tb)
 	}
-
-	x, err := os.ReadFile(a.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := os.ReadFile(b.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) == 0 {
-		t.Fatalf("%s: empty export", a.MetricsOut)
-	}
-	if !bytes.Equal(x, y) {
-		t.Fatalf("metrics exports differ: same seed must export byte-identical files")
-	}
+	x := sameExport(t, filepath.Join(a, "ycsb.metrics.json"), filepath.Join(b, "ycsb.metrics.json"))
 	if !strings.Contains(string(x), "ycsb.lsm") {
 		t.Fatalf("metrics export missing lsm registry gauges")
 	}

@@ -18,7 +18,6 @@ import (
 type BreakdownConfig struct {
 	Requests int
 	Seed     uint64
-	Parallel int // sweep-point workers; 0 = runner default
 }
 
 // DefaultBreakdownConfig returns the standalone experiment size.
@@ -138,9 +137,4 @@ func breakdownPlan(cfg BreakdownConfig, obsDir string) (func() *Table, []runner.
 func BreakdownSpec(cfg BreakdownConfig, obsDir string) Spec {
 	table, jobs := breakdownPlan(cfg, obsDir)
 	return Spec{ID: "breakdown", Jobs: jobs, Table: table}
-}
-
-// Breakdown runs the experiment and renders its table.
-func Breakdown(cfg BreakdownConfig) *Table {
-	return RunSpec(cfg.Parallel, BreakdownSpec(cfg, ""))
 }

@@ -34,8 +34,6 @@ type ChaosConfig struct {
 	// Txs is the number of chain transactions in the crash half.
 	Txs  int
 	Seed uint64
-	// Parallel is the sweep-point worker count; 0 = runner default.
-	Parallel int
 }
 
 // DefaultChaosConfig returns the full-size sweep.
@@ -268,9 +266,4 @@ func ChaosSpec(cfg ChaosConfig) Spec {
 		loss, chain := rows()
 		return chaosRender(loss, chain)
 	}}
-}
-
-// ChaosTable runs the whole robustness sweep and renders it.
-func ChaosTable(cfg ChaosConfig) *Table {
-	return RunSpec(cfg.Parallel, ChaosSpec(cfg))
 }

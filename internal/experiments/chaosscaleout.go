@@ -53,8 +53,7 @@ type ChaosScaleoutConfig struct {
 	CrashDur         sim.Duration
 	Elastic          bool
 
-	Seed     uint64
-	Parallel int // sweep-point workers; 0 = runner default
+	Seed uint64
 }
 
 // DefaultChaosScaleoutConfig returns the full-size sweep.
@@ -356,9 +355,4 @@ func chaosScaleoutRender(cfg ChaosScaleoutConfig, rows []ChaosScaleoutRow) *Tabl
 func ChaosScaleoutSpec(cfg ChaosScaleoutConfig, obsDir string) Spec {
 	table, jobs := chaosScaleoutPlan(cfg, obsDir)
 	return Spec{ID: "chaos-scaleout", Jobs: jobs, Table: table}
-}
-
-// ChaosScaleoutTable runs the whole sweep and renders it.
-func ChaosScaleoutTable(cfg ChaosScaleoutConfig) *Table {
-	return RunSpec(cfg.Parallel, ChaosScaleoutSpec(cfg, ""))
 }

@@ -1,10 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Sec. VI) on the simulated testbed. Each FigN/TabN
-// function builds the full system from internal/core and the
-// application packages, drives the paper's workload, and returns both
-// structured rows (consumed by tests and benchmarks) and a rendered
-// text table (printed by cmd/rambda-figures). Paper-vs-measured
-// comparisons live in EXPERIMENTS.md.
+// evaluation (Sec. VI) on the simulated testbed, plus the non-paper
+// experiments (chaos, breakdown, scaleout, chaos-scaleout, ycsb). Each
+// experiment has one entry point, its XSpec: the sweep as runner jobs
+// plus the table render (RunSpec runs one; cmd/rambda-figures pools
+// them all). The paper experiments also keep a rows function (FigN,
+// TabN, Scalability) that runs the sweep and returns structured rows
+// for tests and benchmarks. Paper-vs-measured comparisons live in
+// EXPERIMENTS.md.
 package experiments
 
 import (

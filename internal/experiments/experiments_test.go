@@ -310,10 +310,8 @@ func TestParallelMatchesSequentialFig7(t *testing.T) {
 	}
 	cfg := testFig7Config()
 	cfg.Requests = 6000
-	cfg.Parallel = 1
-	seq := Fig7Table(cfg).String()
-	cfg.Parallel = 8
-	par := Fig7Table(cfg).String()
+	seq := RunSpec(1, Fig7Spec(cfg)).String()
+	par := RunSpec(8, Fig7Spec(cfg)).String()
 	if seq != par {
 		t.Fatalf("fig7 output differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
@@ -327,10 +325,8 @@ func TestParallelMatchesSequentialFig8(t *testing.T) {
 	}
 	cfg := testKVSConfig()
 	cfg.Requests = 5000
-	cfg.Parallel = 1
-	seq := Fig8Table(cfg).String()
-	cfg.Parallel = 8
-	par := Fig8Table(cfg).String()
+	seq := RunSpec(1, Fig8Spec(cfg)).String()
+	par := RunSpec(8, Fig8Spec(cfg)).String()
 	if seq != par {
 		t.Fatalf("fig8 output differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}

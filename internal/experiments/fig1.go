@@ -90,8 +90,3 @@ func Fig1Spec(requests int, seed uint64) Spec {
 	rows, jobs := fig1Plan(requests, seed)
 	return Spec{ID: "fig1", Jobs: jobs, Table: func() *Table { return fig1Render(rows) }}
 }
-
-// Fig1Table renders Fig. 1.
-func Fig1Table(requests int, seed uint64) *Table {
-	return RunSpec(0, Fig1Spec(requests, seed))
-}

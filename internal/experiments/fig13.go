@@ -26,7 +26,6 @@ type Fig13Config struct {
 	Dim      int
 	RowScale float64 // scales the per-category table heights
 	Seed     uint64
-	Parallel int // sweep-point workers; 0 = runner default
 }
 
 // DefaultFig13Config mirrors the paper's configuration at simulation
@@ -223,7 +222,7 @@ func fig13Plan(cfg Fig13Config) ([]Fig13Row, []runner.Job) {
 // Fig13 runs all six datasets across the system matrix.
 func Fig13(cfg Fig13Config) []Fig13Row {
 	rows, jobs := fig13Plan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows
 }
 
@@ -247,11 +246,6 @@ func fig13Render(rows []Fig13Row) *Table {
 func Fig13Spec(cfg Fig13Config) Spec {
 	rows, jobs := fig13Plan(cfg)
 	return Spec{ID: "fig13", Jobs: jobs, Table: func() *Table { return fig13Render(rows) }}
-}
-
-// Fig13Table renders Fig. 13.
-func Fig13Table(cfg Fig13Config) *Table {
-	return RunSpec(cfg.Parallel, Fig13Spec(cfg))
 }
 
 // coreVariantBase/LD/LH expose the accelerator variants for tests.

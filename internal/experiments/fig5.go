@@ -117,11 +117,6 @@ func Fig5Spec() Spec {
 	return Spec{ID: "fig5", Jobs: jobs, Table: func() *Table { return fig5Render(rows) }}
 }
 
-// Fig5Table renders Fig. 5.
-func Fig5Table() *Table {
-	return RunSpec(0, Fig5Spec())
-}
-
 func fig5Render(rows []Fig5Row) *Table {
 	t := &Table{
 		ID:      "fig5",

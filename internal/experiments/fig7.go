@@ -28,7 +28,6 @@ type Fig7Config struct {
 	Requests int // per configuration
 	Window   int // outstanding requests per connection
 	Seed     uint64
-	Parallel int // sweep-point workers; 0 = runner default
 }
 
 // DefaultFig7Config returns the scaled experiment size.
@@ -289,7 +288,7 @@ func fig7Plan(cfg Fig7Config) (func() []Fig7Row, []runner.Job) {
 // Fig7 runs the whole microbenchmark sweep.
 func Fig7(cfg Fig7Config) []Fig7Row {
 	rows, jobs := fig7Plan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows()
 }
 
@@ -313,9 +312,4 @@ func fig7Render(rows []Fig7Row) *Table {
 func Fig7Spec(cfg Fig7Config) Spec {
 	rows, jobs := fig7Plan(cfg)
 	return Spec{ID: "fig7", Jobs: jobs, Table: func() *Table { return fig7Render(rows()) }}
-}
-
-// Fig7Table renders Fig. 7.
-func Fig7Table(cfg Fig7Config) *Table {
-	return RunSpec(cfg.Parallel, Fig7Spec(cfg))
 }

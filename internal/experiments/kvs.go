@@ -27,7 +27,6 @@ type KVSConfig struct {
 	Requests    int
 	ZipfTheta   float64
 	Seed        uint64
-	Parallel    int // sweep-point workers; 0 = runner default
 }
 
 // DefaultKVSConfig returns the scaled experiment.
@@ -507,7 +506,7 @@ func fig8Plan(cfg KVSConfig) ([]Fig8Row, []runner.Job) {
 // distributions and workload mixes.
 func Fig8(cfg KVSConfig) []Fig8Row {
 	rows, jobs := fig8Plan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows
 }
 
@@ -530,11 +529,6 @@ func fig8Render(rows []Fig8Row) *Table {
 func Fig8Spec(cfg KVSConfig) Spec {
 	rows, jobs := fig8Plan(cfg)
 	return Spec{ID: "fig8", Jobs: jobs, Table: func() *Table { return fig8Render(rows) }}
-}
-
-// Fig8Table renders Fig. 8.
-func Fig8Table(cfg KVSConfig) *Table {
-	return RunSpec(cfg.Parallel, Fig8Spec(cfg))
 }
 
 // Fig9Row is one latency bar of Fig. 9 (100% GET).
@@ -594,7 +588,7 @@ func fig9Plan(cfg KVSConfig) ([]Fig9Row, []runner.Job) {
 // GET, batch 32).
 func Fig9(cfg KVSConfig) []Fig9Row {
 	rows, jobs := fig9Plan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows
 }
 
@@ -622,11 +616,6 @@ func fig9Render(rows []Fig9Row) *Table {
 func Fig9Spec(cfg KVSConfig) Spec {
 	rows, jobs := fig9Plan(cfg)
 	return Spec{ID: "fig9", Jobs: jobs, Table: func() *Table { return fig9Render(rows) }}
-}
-
-// Fig9Table renders Fig. 9.
-func Fig9Table(cfg KVSConfig) *Table {
-	return RunSpec(cfg.Parallel, Fig9Spec(cfg))
 }
 
 // Fig10Row is one point of the batch sweep.
@@ -679,7 +668,7 @@ func fig10Plan(cfg KVSConfig) ([]Fig10Row, []runner.Job) {
 // window equals the batch size (HERD clients post batches of B).
 func Fig10(cfg KVSConfig) []Fig10Row {
 	rows, jobs := fig10Plan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows
 }
 
@@ -702,11 +691,6 @@ func fig10Render(rows []Fig10Row) *Table {
 func Fig10Spec(cfg KVSConfig) Spec {
 	rows, jobs := fig10Plan(cfg)
 	return Spec{ID: "fig10", Jobs: jobs, Table: func() *Table { return fig10Render(rows) }}
-}
-
-// Fig10Table renders Fig. 10.
-func Fig10Table(cfg KVSConfig) *Table {
-	return RunSpec(cfg.Parallel, Fig10Spec(cfg))
 }
 
 // Tab3Row is one column of Tab. III.
@@ -743,7 +727,7 @@ func tab3Plan(cfg KVSConfig) ([]Tab3Row, []runner.Job) {
 // point using the paper's measured component wattages.
 func Tab3(cfg KVSConfig) []Tab3Row {
 	rows, jobs := tab3Plan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows
 }
 
@@ -767,11 +751,6 @@ func tab3Render(rows []Tab3Row) *Table {
 func Tab3Spec(cfg KVSConfig) Spec {
 	rows, jobs := tab3Plan(cfg)
 	return Spec{ID: "tab3", Jobs: jobs, Table: func() *Table { return tab3Render(rows) }}
-}
-
-// Tab3Table renders Tab. III.
-func Tab3Table(cfg KVSConfig) *Table {
-	return RunSpec(cfg.Parallel, Tab3Spec(cfg))
 }
 
 // clientConnSend and clientConnPoll expose the CPU client's raw

@@ -28,7 +28,6 @@ type ScalabilityConfig struct {
 	EntryBytes  int
 	Requests    int
 	Seed        uint64
-	Parallel    int // sweep-point workers; 0 = runner default
 }
 
 // DefaultScalabilityConfig sweeps 16..1024 connections with scaled
@@ -96,7 +95,7 @@ func scalabilityPlan(cfg ScalabilityConfig) ([]ScalabilityRow, []runner.Job) {
 // Scalability measures an echo workload across the sweep.
 func Scalability(cfg ScalabilityConfig) []ScalabilityRow {
 	rows, jobs := scalabilityPlan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows
 }
 
@@ -126,9 +125,4 @@ func scalabilityRender(rows []ScalabilityRow) *Table {
 func ScalabilitySpec(cfg ScalabilityConfig) Spec {
 	rows, jobs := scalabilityPlan(cfg)
 	return Spec{ID: "scalability", Jobs: jobs, Table: func() *Table { return scalabilityRender(rows) }}
-}
-
-// ScalabilityTable renders the sweep.
-func ScalabilityTable(cfg ScalabilityConfig) *Table {
-	return RunSpec(cfg.Parallel, ScalabilitySpec(cfg))
 }

@@ -36,7 +36,6 @@ type ScaleoutConfig struct {
 	PutPercent int
 	Frontends  int
 	Seed       uint64
-	Parallel   int // sweep-point workers; 0 = runner default
 
 	// OpenLoopInterval, when > 0, switches the workload from the
 	// closed loop (each frontend issues its next request when the
@@ -269,9 +268,4 @@ func scaleoutRender(rows []ScaleoutRow) *Table {
 func ScaleoutSpec(cfg ScaleoutConfig, obsDir string) Spec {
 	table, jobs := scaleoutPlan(cfg, obsDir)
 	return Spec{ID: "scaleout", Jobs: jobs, Table: table}
-}
-
-// ScaleoutTable runs the whole sweep and renders it.
-func ScaleoutTable(cfg ScaleoutConfig) *Table {
-	return RunSpec(cfg.Parallel, ScaleoutSpec(cfg, ""))
 }

@@ -35,7 +35,6 @@ type YCSBConfig struct {
 	Requests    int
 	ZipfTheta   float64
 	Seed        uint64
-	Parallel    int // sweep-point workers; 0 = runner default
 }
 
 // DefaultYCSBConfig returns the full-size sweep.
@@ -394,9 +393,4 @@ func ycsbRender(rows []YCSBRow) *Table {
 func YCSBSpec(cfg YCSBConfig, obsDir string) Spec {
 	table, jobs := ycsbPlan(cfg, obsDir)
 	return Spec{ID: "ycsb", Jobs: jobs, Table: table}
-}
-
-// YCSBTable runs the whole sweep and renders it.
-func YCSBTable(cfg YCSBConfig) *Table {
-	return RunSpec(cfg.Parallel, YCSBSpec(cfg, ""))
 }

@@ -14,13 +14,13 @@
 //
 // Every record carries a sequence number from a global counter.
 // [DB.Snapshot] pins a view — the sequence high-water mark, the live
-// memtable map, and the run list — and reads or range scans through it
-// see exactly the versions at pin time: newer memtable versions are
-// filtered by sequence, a flush swaps in a fresh memtable map (the
-// snapshot keeps the old one), and compaction builds new sstables
-// while the pinned ones stay readable (simulation regions are never
-// freed). Snapshots therefore never block behind flush or compaction
-// and cost nothing to take.
+// memtable, and the run list — and reads or range scans through it see
+// exactly the versions at pin time: newer memtable versions are
+// filtered by sequence, a flush swaps in a fresh memtable (the snapshot
+// keeps the old one), and compaction builds new sstables while the
+// pinned ones stay readable (simulation regions are never freed).
+// Snapshots therefore never block behind flush or compaction and cost
+// nothing to take.
 //
 // # Serving path
 //
@@ -93,9 +93,9 @@ type DB struct {
 	// next value, snapshots pin the current one.
 	seq uint64
 
-	// memtable maps key -> versions in ascending sequence order. A
-	// flush swaps in a fresh map; pinned snapshots keep the old one.
-	memtable map[string][]entry
+	// memtable holds each key's versions in key order. A flush swaps
+	// in a fresh one; pinned snapshots keep the old one.
+	memtable *memtable
 	memBytes int
 
 	// levels[0] holds newest-first overlapping runs; deeper levels hold
@@ -109,6 +109,8 @@ type DB struct {
 	pendingStall bool
 
 	tr *obs.Trace // optional flush/compaction span collector
+
+	scanIt mergeIter // ScanInto's iterator, reused across calls
 
 	puts, gets, deletes, scans int64
 	flushes, compactions       int64
@@ -140,7 +142,7 @@ func Open(space *memspace.Space, mem *memdev.System, cfg Config) *DB {
 		mem:      mem,
 		wal:      space.Alloc("lsm-wal", cfg.WALBytes, memspace.KindNVM),
 		memArena: space.Alloc("lsm-mem", uint64(cfg.MemtableBytes), memspace.KindDRAM),
-		memtable: make(map[string][]entry),
+		memtable: newMemtable(),
 		levels:   make([][]*sstable, cfg.MaxLevels),
 	}
 }
@@ -168,7 +170,7 @@ func (db *DB) Stats() Stats {
 	s := Stats{
 		Puts: db.puts, Gets: db.gets, Deletes: db.deletes, Scans: db.scans,
 		Flushes: db.flushes, Compactions: db.compactions, Stalls: db.stalls,
-		MemtableEntries: len(db.memtable),
+		MemtableEntries: db.memtable.len(),
 		MemtableBytes:   db.memBytes,
 		Seq:             db.seq,
 	}
@@ -183,7 +185,7 @@ func (db *DB) Stats() Stats {
 // the MVCC sequence high-water mark.
 func (db *DB) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+".memtable_bytes", func() float64 { return float64(db.memBytes) })
-	reg.Gauge(prefix+".memtable_entries", func() float64 { return float64(len(db.memtable)) })
+	reg.Gauge(prefix+".memtable_entries", func() float64 { return float64(db.memtable.len()) })
 	reg.Gauge(prefix+".flushes", func() float64 { return float64(db.flushes) })
 	reg.Gauge(prefix+".compactions", func() float64 { return float64(db.compactions) })
 	reg.Gauge(prefix+".stalls", func() float64 { return float64(db.stalls) })
@@ -258,8 +260,7 @@ func (db *DB) writeState(key string, val []byte, tomb bool) (memspace.Addr, erro
 	db.walOff += uint64(rec)
 	db.walRecords++
 
-	db.memtable[key] = append(db.memtable[key],
-		entry{seq: db.seq, val: append([]byte(nil), val...), tombstone: tomb})
+	db.memtable.add(key, entry{seq: db.seq, val: append([]byte(nil), val...), tombstone: tomb})
 	db.memBytes += rec
 	if tomb {
 		db.deletes++
@@ -299,7 +300,7 @@ func parseRecordHdr(buf []byte) (klen, vlen int, seq uint64, tomb bool) {
 // per deeper level, charging an NVM probe per run consulted.
 func (db *DB) Get(now sim.Time, key string) ([]byte, sim.Time, bool) {
 	db.gets++
-	if e, ok := newestVisible(db.memtable[key], db.seq); ok {
+	if e, ok := newestVisible(db.memtable.versions(key), db.seq); ok {
 		if e.tombstone {
 			return nil, now, false
 		}
@@ -308,7 +309,7 @@ func (db *DB) Get(now sim.Time, key string) ([]byte, sim.Time, bool) {
 	at := now
 	tomb, found := false, false
 	var out []byte
-	db.probeRuns(key, db.seq, func(_ memspace.Addr, bytes int) {
+	probeRuns(db.levels, key, db.seq, func(_ memspace.Addr, bytes int) {
 		at = db.mem.NVM.Read(at, bytes)
 	}, func(v []byte, t bool) {
 		out, tomb, found = append([]byte(nil), v...), t, true
@@ -332,10 +333,11 @@ func newestVisible(versions []entry, maxSeq uint64) (entry, bool) {
 // probeRuns walks the run hierarchy for key — L0 newest-first, one run
 // per deeper level — invoking charge per NVM probe (with the record's
 // real address, or the run base on a miss) and hit (at most once) with
-// the winning record. Records above maxSeq are invisible.
-func (db *DB) probeRuns(key string, maxSeq uint64,
+// the winning record. Records above maxSeq are invisible. It is the one
+// point-read path over runs: the DB and its snapshots both use it.
+func probeRuns(levels [][]*sstable, key string, maxSeq uint64,
 	charge func(addr memspace.Addr, bytes int), hit func(val []byte, tomb bool)) {
-	for li, runs := range db.levels {
+	for li, runs := range levels {
 		for ri := len(runs) - 1; ri >= 0; ri-- { // newest first within L0
 			run := runs[ri]
 			val, seq, tomb, addr, probed, found := run.get(key)
@@ -351,21 +353,26 @@ func (db *DB) probeRuns(key string, maxSeq uint64,
 	}
 }
 
-// flushState sorts the memtable's newest versions into a new L0 run,
-// swaps in a fresh memtable (pinned snapshots keep the old map), and
-// truncates the WAL. The run's streaming NVM write lands in pending.
+// flushState writes the memtable's newest versions, walked in key
+// order, into a new L0 run, swaps in a fresh memtable (pinned snapshots
+// keep the old one), and truncates the WAL. The run's streaming NVM
+// write lands in pending.
 func (db *DB) flushState() {
-	if len(db.memtable) == 0 {
+	if db.memtable.len() == 0 {
 		return
 	}
-	flat := make(map[string]entry, len(db.memtable))
-	for k, versions := range db.memtable {
-		flat[k] = versions[len(versions)-1]
+	size := sstHdr
+	for n := db.memtable.first(); n != nil; n = n.next[0] {
+		size += recordBytes(n.key, n.versions[len(n.versions)-1].val)
 	}
-	run, bytes := buildSSTable(db.space, fmt.Sprintf("lsm-l0-%d", db.flushes), db.cfg.SSTableBytes, flat)
-	db.pending = append(db.pending, pendingIO{name: "lsm.flush", addr: uint64(run.region.Base), bytes: bytes})
+	run := newSSTable(db.space, fmt.Sprintf("lsm-l0-%d", db.flushes), db.cfg.SSTableBytes, db.memtable.len(), size)
+	for n := db.memtable.first(); n != nil; n = n.next[0] {
+		e := n.versions[len(n.versions)-1]
+		run.append(n.key, e.val, e.seq, e.tombstone)
+	}
+	db.pending = append(db.pending, pendingIO{name: "lsm.flush", addr: uint64(run.region.Base), bytes: size})
 	db.levels[0] = append(db.levels[0], run)
-	db.memtable = make(map[string][]entry)
+	db.memtable = newMemtable()
 	db.memBytes = 0
 	db.walOff = 0
 	db.flushes++
@@ -390,36 +397,79 @@ func (db *DB) compactState(li int) {
 	if li+1 >= db.cfg.MaxLevels {
 		return // bottom level absorbs runs without further merging
 	}
-	merged := make(map[string]entry)
-	// Oldest first so newer (higher-sequence) records overwrite.
+	// Oldest first: the run below, then level li's runs in age order.
+	var inputs []*sstable
 	if len(db.levels[li+1]) > 0 {
-		db.levels[li+1][0].scanInto(merged)
+		inputs = append(inputs, db.levels[li+1][0])
 	}
-	for _, run := range db.levels[li] {
-		run.scanInto(merged)
-	}
-	bottom := li+1 == db.cfg.MaxLevels-1
-	if bottom {
-		// Tombstones die at the bottom.
-		for k, e := range merged {
-			if e.tombstone {
-				delete(merged, k)
-			}
-		}
-	}
+	inputs = append(inputs, db.levels[li]...)
+	// Tombstones die at the bottom.
+	merged, size := mergeRuns(inputs, li+1 == db.cfg.MaxLevels-1)
 	db.compactions++
 	db.levels[li] = nil
 	if len(merged) == 0 {
 		db.levels[li+1] = nil
 		return
 	}
-	run, bytes := buildSSTable(db.space, fmt.Sprintf("lsm-l%d-%d", li+1, db.compactions),
-		db.cfg.SSTableBytes*uint64(li+2), merged)
-	db.pending = append(db.pending, pendingIO{name: "lsm.compact", addr: uint64(run.region.Base), bytes: bytes})
+	run := newSSTable(db.space, fmt.Sprintf("lsm-l%d-%d", li+1, db.compactions),
+		db.cfg.SSTableBytes*uint64(li+2), len(merged), size)
+	for _, r := range merged {
+		val, seq, tomb, _, _ := r.run.record(r.i)
+		run.append(r.run.keys[r.i], val, seq, tomb)
+	}
+	db.pending = append(db.pending, pendingIO{name: "lsm.compact", addr: uint64(run.region.Base), bytes: size})
 	db.levels[li+1] = []*sstable{run}
 	// Cascade if the merged level has grown too large.
-	if uint64(bytes) > db.cfg.SSTableBytes*uint64(1<<uint(li+1)) && li+2 < db.cfg.MaxLevels {
+	if uint64(size) > db.cfg.SSTableBytes*uint64(1<<uint(li+1)) && li+2 < db.cfg.MaxLevels {
 		db.compactState(li + 1)
+	}
+}
+
+// recRef names one record of a run by its index position.
+type recRef struct {
+	run *sstable
+	i   int
+}
+
+// mergeRuns k-way merges runs (oldest first) over their sorted indexes,
+// keeping each key's newest record — the highest sequence number, the
+// later run on a tie — and dropping tombstones when dropTombs. It
+// returns the winners in key order and the size of the run they
+// serialize to.
+func mergeRuns(runs []*sstable, dropTombs bool) ([]recRef, int) {
+	pos := make([]int, len(runs))
+	total := 0
+	for _, t := range runs {
+		total += len(t.keys)
+	}
+	out := make([]recRef, 0, total)
+	size := sstHdr
+	for {
+		lo := -1
+		for r, t := range runs {
+			if pos[r] < len(t.keys) && (lo < 0 || t.keys[pos[r]] < runs[lo].keys[pos[lo]]) {
+				lo = r
+			}
+		}
+		if lo < 0 {
+			return out, size
+		}
+		key := runs[lo].keys[pos[lo]]
+		win := recRef{}
+		for r, t := range runs {
+			if i := pos[r]; i < len(t.keys) && t.keys[i] == key {
+				if win.run == nil || t.seqs[i] >= win.run.seqs[win.i] {
+					win = recRef{t, i}
+				}
+				pos[r]++
+			}
+		}
+		_, _, tomb, _, n := win.run.record(win.i)
+		if dropTombs && tomb {
+			continue
+		}
+		out = append(out, win)
+		size += n
 	}
 }
 
@@ -473,14 +523,15 @@ func (db *DB) memAccess(key []byte, write bool) kvs.Access {
 func (db *DB) GetInto(dst []byte, trace []kvs.Access, key []byte) ([]byte, []kvs.Access, bool) {
 	db.gets++
 	trace = append(trace, db.memAccess(key, false))
-	if e, ok := newestVisible(db.memtable[string(key)], db.seq); ok {
+	k := string(key) // one conversion for both lookups; it does not escape
+	if e, ok := newestVisible(db.memtable.versions(k), db.seq); ok {
 		if e.tombstone {
 			return dst, trace, false
 		}
 		return append(dst, e.val...), trace, true
 	}
 	found, tomb := false, false
-	db.probeRuns(string(key), db.seq, func(addr memspace.Addr, bytes int) {
+	probeRuns(db.levels, k, db.seq, func(addr memspace.Addr, bytes int) {
 		trace = append(trace, kvs.Access{Addr: addr, Bytes: bytes})
 	}, func(v []byte, t bool) {
 		tomb = t
@@ -522,11 +573,11 @@ func (db *DB) DeleteInto(trace []kvs.Access, key []byte) ([]kvs.Access, bool) {
 // liveKey reports whether key currently resolves to a non-tombstone
 // version (functional visibility check, no charging).
 func (db *DB) liveKey(key string) bool {
-	if e, ok := newestVisible(db.memtable[key], db.seq); ok {
+	if e, ok := newestVisible(db.memtable.versions(key), db.seq); ok {
 		return !e.tombstone
 	}
 	live := false
-	db.probeRuns(key, db.seq, func(memspace.Addr, int) {}, func(_ []byte, tomb bool) {
+	probeRuns(db.levels, key, db.seq, func(memspace.Addr, int) {}, func(_ []byte, tomb bool) {
 		live = !tomb
 	})
 	return live
@@ -540,7 +591,8 @@ func (db *DB) liveKey(key string) bool {
 func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 	start []byte, limit int, reverse bool) ([]byte, []kvs.ScanPair, []kvs.Access) {
 	db.scans++
-	it := newMergeIter(db.memtable, db.levels, db.seq, string(start), reverse)
+	it := &db.scanIt
+	it.reset(db.memtable, db.levels, db.seq, string(start), reverse)
 	emitted := 0
 	for emitted < limit && it.next() {
 		trace = append(trace, it.probes...)
@@ -548,9 +600,9 @@ func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 		if it.tomb {
 			continue
 		}
-		trace = append(trace, db.memAccess([]byte(it.key), false))
 		keyOff := len(buf)
 		buf = append(buf, it.key...)
+		trace = append(trace, db.memAccess(buf[keyOff:], false))
 		buf = append(buf, it.val...)
 		pairs = append(pairs, kvs.ScanPair{KeyOff: keyOff, KeyLen: len(it.key), ValLen: len(it.val)})
 		emitted++
@@ -561,12 +613,12 @@ func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 
 // --- MVCC snapshots ---
 
-// Snapshot is a pinned read view: sequence high-water mark, memtable
-// map, and run list as of Snapshot(). It stays valid forever (regions
-// are never freed) and costs nothing to take or hold.
+// Snapshot is a pinned read view: sequence high-water mark, memtable,
+// and run list as of Snapshot(). It stays valid forever (regions are
+// never freed) and costs nothing to take or hold.
 type Snapshot struct {
 	seq  uint64
-	mem  map[string][]entry
+	mem  *memtable
 	runs [][]*sstable
 }
 
@@ -584,32 +636,20 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // Get reads a key as of the snapshot.
 func (s *Snapshot) Get(key string) ([]byte, bool) {
-	if e, ok := newestVisible(s.mem[key], s.seq); ok {
+	if e, ok := newestVisible(s.mem.versions(key), s.seq); ok {
 		if e.tombstone {
 			return nil, false
 		}
 		return append([]byte(nil), e.val...), true
 	}
 	var out []byte
-	found, tomb := false, false
-	for li, runs := range s.runs {
-		for ri := len(runs) - 1; ri >= 0 && !found; ri-- {
-			val, seq, t, _, _, ok := runs[ri].get(key)
-			if ok && seq <= s.seq {
-				out, tomb, found = append([]byte(nil), val...), t, true
-			}
-			if li > 0 {
-				break
-			}
+	found := false
+	probeRuns(s.runs, key, s.seq, func(memspace.Addr, int) {}, func(v []byte, tomb bool) {
+		if !tomb {
+			out, found = append([]byte(nil), v...), true
 		}
-		if found {
-			break
-		}
-	}
-	if !found || tomb {
-		return nil, false
-	}
-	return out, true
+	})
+	return out, found
 }
 
 // Scan iterates live pairs from start (inclusive) in key order
@@ -617,7 +657,8 @@ func (s *Snapshot) Get(key string) ([]byte, bool) {
 // pairs have been visited (limit <= 0 is unbounded). It returns the
 // number of pairs visited.
 func (s *Snapshot) Scan(start string, limit int, reverse bool, fn func(key string, val []byte) bool) int {
-	it := newMergeIter(s.mem, s.runs, s.seq, start, reverse)
+	var it mergeIter
+	it.reset(s.mem, s.runs, s.seq, start, reverse)
 	n := 0
 	for it.next() {
 		if it.tomb {
@@ -637,10 +678,10 @@ func (s *Snapshot) Scan(start string, limit int, reverse bool, fn func(key strin
 // --- merged iterator ---
 
 // mergeIter walks memtable + runs in key order, resolving each key to
-// its newest visible version. One source per structure: the memtable's
-// sorted key list and each sstable's index.
+// its newest visible version. One cursor per structure: a node of the
+// memtable's skiplist and a position in each sstable's index.
 type mergeIter struct {
-	sources []*iterSource
+	sources []iterSource
 	reverse bool
 	maxSeq  uint64
 
@@ -653,44 +694,59 @@ type mergeIter struct {
 	probes []kvs.Access
 }
 
-// iterSource is one sorted structure's cursor.
+// iterSource is one sorted structure's cursor: node walks the memtable
+// when run is nil, pos indexes run otherwise. key caches the key under
+// the cursor; done marks it exhausted.
 type iterSource struct {
-	keys []string
-	pos  int // index into keys; -1 / len(keys) = exhausted
-	mem  map[string][]entry
+	node *memNode
 	run  *sstable
+	pos  int
+	key  string
+	done bool
 }
 
-func (src *iterSource) done(reverse bool) bool {
-	if reverse {
-		return src.pos < 0
+func (src *iterSource) sync() {
+	if src.run == nil {
+		src.done = src.node == nil
+		if !src.done {
+			src.key = src.node.key
+		}
+		return
 	}
-	return src.pos >= len(src.keys)
+	src.done = src.pos < 0 || src.pos >= len(src.run.keys)
+	if !src.done {
+		src.key = src.run.keys[src.pos]
+	}
 }
 
 func (src *iterSource) advance(reverse bool) {
-	if reverse {
+	switch {
+	case src.run != nil && reverse:
 		src.pos--
-	} else {
+	case src.run != nil:
 		src.pos++
+	case reverse:
+		src.node = src.node.prev
+	default:
+		src.node = src.node.next[0]
 	}
+	src.sync()
 }
 
-func newMergeIter(mem map[string][]entry, levels [][]*sstable, maxSeq uint64,
-	start string, reverse bool) *mergeIter {
-	it := &mergeIter{reverse: reverse, maxSeq: maxSeq}
-	memKeys := make([]string, 0, len(mem))
-	for k := range mem {
-		memKeys = append(memKeys, k)
-	}
-	sort.Strings(memKeys)
-	it.sources = append(it.sources, &iterSource{keys: memKeys, pos: seekPos(memKeys, start, reverse), mem: mem})
+// reset positions the iterator at start over mem and levels, reusing
+// its cursor and probe buffers.
+func (it *mergeIter) reset(mem *memtable, levels [][]*sstable, maxSeq uint64, start string, reverse bool) {
+	it.reverse, it.maxSeq = reverse, maxSeq
+	it.probes = it.probes[:0]
+	it.sources = append(it.sources[:0], iterSource{node: mem.seek(start, reverse)})
 	for _, level := range levels {
 		for _, run := range level {
-			it.sources = append(it.sources, &iterSource{keys: run.keys, pos: seekPos(run.keys, start, reverse), run: run})
+			it.sources = append(it.sources, iterSource{run: run, pos: seekPos(run.keys, start, reverse)})
 		}
 	}
-	return it
+	for i := range it.sources {
+		it.sources[i].sync()
+	}
 }
 
 // seekPos places a cursor at the first key of the scan: the smallest
@@ -720,13 +776,13 @@ func (it *mergeIter) next() bool {
 	for {
 		best := ""
 		found := false
-		for _, src := range it.sources {
-			if src.done(it.reverse) {
+		for i := range it.sources {
+			src := &it.sources[i]
+			if src.done {
 				continue
 			}
-			k := src.keys[src.pos]
-			if !found || (!it.reverse && k < best) || (it.reverse && k > best) {
-				best, found = k, true
+			if !found || (!it.reverse && src.key < best) || (it.reverse && src.key > best) {
+				best, found = src.key, true
 			}
 		}
 		if !found {
@@ -738,18 +794,19 @@ func (it *mergeIter) next() bool {
 		resolved := false
 		var val []byte
 		var tomb bool
-		for _, src := range it.sources {
-			if src.done(it.reverse) || src.keys[src.pos] != best {
+		for i := range it.sources {
+			src := &it.sources[i]
+			if src.done || src.key != best {
 				continue
 			}
-			if src.mem != nil {
-				if e, ok := newestVisible(src.mem[best], it.maxSeq); ok && (!resolved || e.seq > bestSeq) {
+			if src.run == nil {
+				if e, ok := newestVisible(src.node.versions, it.maxSeq); ok && (!resolved || e.seq > bestSeq) {
 					bestSeq, val, tomb, resolved = e.seq, e.val, e.tombstone, true
 				}
 			} else {
-				v, seq, t, addr, probed, ok := src.run.get(best)
-				it.probes = append(it.probes, kvs.Access{Addr: addr, Bytes: probed})
-				if ok && seq <= it.maxSeq && (!resolved || seq > bestSeq) {
+				v, seq, t, addr, n := src.run.record(src.pos)
+				it.probes = append(it.probes, kvs.Access{Addr: addr, Bytes: n})
+				if seq <= it.maxSeq && (!resolved || seq > bestSeq) {
 					bestSeq, val, tomb, resolved = seq, v, t, true
 				}
 			}
@@ -768,51 +825,72 @@ func (it *mergeIter) next() bool {
 // sstable is one sorted run in NVM.
 type sstable struct {
 	region *memspace.Region
-	space  *memspace.Space
 	// index holds the sorted keys with their record offsets and
 	// sequence numbers (rebuilt by scanning the region on recovery,
 	// held in DRAM at runtime).
 	keys    []string
 	offsets []uint32
 	seqs    []uint64
+	size    int // bytes the run holds, header included
 }
 
-// buildSSTable serializes entries (sorted) into a fresh NVM region.
-func buildSSTable(space *memspace.Space, name string, capBytes uint64, entries map[string]entry) (*sstable, int) {
-	keys := make([]string, 0, len(entries))
-	total := 8 // [4B magic][4B count]
-	for k, e := range entries {
-		keys = append(keys, k)
-		total += recordBytes(k, e.val)
+const (
+	sstMagic = 0x4C534D32 // "LSM2"
+	sstHdr   = 8          // [4B magic][4B count]
+)
+
+// newSSTable starts a run of count records totalling size bytes
+// (header included), to be filled in key order with append. The run
+// reserves capBytes of NVM address space (size, if larger) but backs
+// only the size bytes it will hold: the reserved tail is a phantom
+// region, so later regions land at the same addresses as if the whole
+// reservation were backed.
+func newSSTable(space *memspace.Space, name string, capBytes uint64, count, size int) *sstable {
+	region := space.Alloc(name, uint64(size), memspace.KindNVM)
+	if capBytes > region.Size {
+		space.AllocPhantom(name+"-reserve", capBytes-region.Size, memspace.KindNVM)
 	}
-	sort.Strings(keys)
-	if uint64(total) > capBytes {
-		capBytes = uint64(total) // grow: simulation regions are cheap
-	}
-	region := space.Alloc(name, capBytes, memspace.KindNVM)
 	buf := region.Bytes()
 	binary.LittleEndian.PutUint32(buf[0:4], sstMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(keys)))
-	t := &sstable{region: region, space: space}
-	off := 8
-	for _, k := range keys {
-		e := entries[k]
-		t.keys = append(t.keys, k)
-		t.offsets = append(t.offsets, uint32(off))
-		t.seqs = append(t.seqs, e.seq)
-		putRecordHdr(buf[off:], len(k), len(e.val), e.seq, e.tombstone)
-		copy(buf[off+recordHdr:], k)
-		copy(buf[off+recordHdr+len(k):], e.val)
-		off += recordBytes(k, e.val)
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(count))
+	return &sstable{
+		region:  region,
+		size:    sstHdr,
+		keys:    make([]string, 0, count),
+		offsets: make([]uint32, 0, count),
+		seqs:    make([]uint64, 0, count),
 	}
-	return t, off
 }
 
-const sstMagic = 0x4C534D32 // "LSM2"
+// append writes the next record, which must sort after every record
+// already in the run.
+func (t *sstable) append(key string, val []byte, seq uint64, tomb bool) {
+	buf := t.region.Bytes()[t.size:]
+	putRecordHdr(buf, len(key), len(val), seq, tomb)
+	copy(buf[recordHdr:], key)
+	copy(buf[recordHdr+len(key):], val)
+	t.keys = append(t.keys, key)
+	t.offsets = append(t.offsets, uint32(t.size))
+	t.seqs = append(t.seqs, seq)
+	t.size += recordBytes(key, val)
+}
+
+// record reads the i-th record of the index: its value, sequence
+// number and tombstone flag, plus its NVM address and byte count (the
+// probe a read of it charges).
+func (t *sstable) record(i int) (val []byte, seq uint64, tomb bool, addr memspace.Addr, n int) {
+	off := t.offsets[i]
+	rec := t.region.Bytes()[off:]
+	kl, vl, seq, tomb := parseRecordHdr(rec)
+	n = recordHdr + kl + vl
+	return rec[recordHdr+kl : n], seq, tomb, t.region.Base + memspace.Addr(off), n
+}
 
 // get binary-searches the run. probed is the byte count of NVM touched
 // (index is in DRAM; one record read per hit/miss probe) and addr the
-// probed NVM address (the record on a hit, the run base on a miss).
+// probed NVM address (the record on a hit, the run base on a miss). It
+// parses the record inline rather than calling record: the point-read
+// path measured slower with that second call.
 func (t *sstable) get(key string) (val []byte, seq uint64, tomb bool, addr memspace.Addr, probed int, found bool) {
 	i := sort.SearchStrings(t.keys, key)
 	if i >= len(t.keys) || t.keys[i] != key {
@@ -824,32 +902,15 @@ func (t *sstable) get(key string) (val []byte, seq uint64, tomb bool, addr memsp
 	return val, seq, tomb, t.region.Base + memspace.Addr(off), recordHdr + kl + n, true
 }
 
-// scanInto replays the run's records into dst; a record overwrites only
-// an older (lower-sequence) one.
-func (t *sstable) scanInto(dst map[string]entry) {
-	for i, k := range t.keys {
-		off := int(t.offsets[i])
-		kl, n, seq, tomb := parseRecordHdr(t.region.Bytes()[off : off+recordHdr])
-		if old, ok := dst[k]; ok && old.seq > seq {
-			continue
-		}
-		dst[k] = entry{
-			seq:       seq,
-			val:       append([]byte(nil), t.region.Bytes()[off+recordHdr+kl:off+recordHdr+kl+n]...),
-			tombstone: tomb,
-		}
-	}
-}
-
 // openSSTable rebuilds a run's index by scanning its region bytes.
-func openSSTable(space *memspace.Space, region *memspace.Region) (*sstable, error) {
+func openSSTable(region *memspace.Region) (*sstable, error) {
 	buf := region.Bytes()
-	if len(buf) < 8 || binary.LittleEndian.Uint32(buf[0:4]) != sstMagic {
+	if len(buf) < sstHdr || binary.LittleEndian.Uint32(buf[0:4]) != sstMagic {
 		return nil, fmt.Errorf("lsm: region %q is not an sstable", region.Name)
 	}
 	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	t := &sstable{region: region, space: space}
-	off := 8
+	t := &sstable{region: region}
+	off := sstHdr
 	for i := 0; i < count; i++ {
 		if off+recordHdr > len(buf) {
 			return nil, fmt.Errorf("lsm: truncated sstable %q", region.Name)
@@ -863,6 +924,7 @@ func openSSTable(space *memspace.Space, region *memspace.Region) (*sstable, erro
 		t.seqs = append(t.seqs, seq)
 		off += recordHdr + kl + vl
 	}
+	t.size = off
 	return t, nil
 }
 
@@ -880,7 +942,7 @@ func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 		mem:      mem,
 		wal:      wal,
 		memArena: space.Alloc("lsm-mem", uint64(cfg.MemtableBytes), memspace.KindDRAM),
-		memtable: make(map[string][]entry),
+		memtable: newMemtable(),
 		levels:   make([][]*sstable, cfg.MaxLevels),
 	}
 	for li, level := range runs {
@@ -888,7 +950,7 @@ func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 			return nil, fmt.Errorf("lsm: %d levels exceed MaxLevels %d", len(runs), cfg.MaxLevels)
 		}
 		for _, region := range level {
-			t, err := openSSTable(space, region)
+			t, err := openSSTable(region)
 			if err != nil {
 				return nil, err
 			}
@@ -910,7 +972,7 @@ func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 		}
 		key := string(buf[off+recordHdr : off+recordHdr+uint64(kl)])
 		val := append([]byte(nil), buf[off+recordHdr+uint64(kl):off+recordHdr+uint64(kl+vl)]...)
-		db.memtable[key] = append(db.memtable[key], entry{seq: seq, val: val, tombstone: tomb})
+		db.memtable.add(key, entry{seq: seq, val: val, tombstone: tomb})
 		db.memBytes += recordHdr + kl + vl
 		if seq > db.seq {
 			db.seq = seq
@@ -950,7 +1012,8 @@ func (db *DB) Range(fn func(key string, val []byte) bool) {
 func (db *DB) ScanAt(now sim.Time, start string, limit int, reverse bool,
 	fn func(key string, val []byte) bool) (sim.Time, int) {
 	db.scans++
-	it := newMergeIter(db.memtable, db.levels, db.seq, start, reverse)
+	var it mergeIter
+	it.reset(db.memtable, db.levels, db.seq, start, reverse)
 	at := now
 	n := 0
 	for it.next() {

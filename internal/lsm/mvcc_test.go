@@ -420,3 +420,68 @@ func TestApplyScratchOverLSM(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotScanFrozenUnderInserts runs a snapshot scan while the
+// callback keeps writing to the live tree: each step inserts keys that
+// sort before the cursor, right after it (between it and the next
+// pinned key), and after every pinned key, overwrites a key the scan
+// has yet to reach, and halfway through forces a flush. The memtable's
+// skiplist gains nodes around the scan's cursor, then is swapped out
+// under it; the scan must still yield exactly the pinned pairs, in
+// order, both forward and in reverse.
+func TestSnapshotScanFrozenUnderInserts(t *testing.T) {
+	for _, reverse := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.MemtableBytes = 64 << 10 // only the forced flush empties the memtable
+		cfg.WALBytes = 64 << 10
+		db, _, _ := newDB(t, cfg)
+		now := sim.Time(0)
+		put := func(k, v string) {
+			at, err := db.Put(now, k, []byte(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = at
+		}
+		// Half the pinned keys sit in a run, half in the memtable.
+		var pinned []string
+		for i := 10; i < 50; i += 2 {
+			k := fmt.Sprintf("k%03d", i)
+			put(k, "pinned-"+k)
+			pinned = append(pinned, k)
+			if i == 30 {
+				now = db.Flush(now)
+			}
+		}
+		snap := db.Snapshot()
+
+		var got []string
+		step := 0
+		snap.Scan("", 0, reverse, func(key string, val []byte) bool {
+			if string(val) != "pinned-"+key {
+				t.Fatalf("reverse=%v: %q reads %q, want its pinned value", reverse, key, val)
+			}
+			got = append(got, key)
+			put(fmt.Sprintf("a%03d", step), "before")      // sorts before every key
+			put(key+"x", "between")                        // right after the cursor
+			put(fmt.Sprintf("z%03d", step), "after")       // sorts after every key
+			put(pinned[(step+5)%len(pinned)], "rewritten") // a key not yet (or already) visited
+			if step == len(pinned)/2 {
+				now = db.Flush(now)
+			}
+			step++
+			return true
+		})
+		want := append([]string(nil), pinned...)
+		if reverse {
+			sort.Sort(sort.Reverse(sort.StringSlice(want)))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("reverse=%v: snapshot scan yielded %v, want the pinned %v", reverse, got, want)
+		}
+		// The live tree saw every write.
+		if n := db.Snapshot().Scan("", 0, false, func(string, []byte) bool { return true }); n != 4*len(pinned) {
+			t.Fatalf("reverse=%v: live tree holds %d keys, want %d", reverse, n, 4*len(pinned))
+		}
+	}
+}

@@ -32,18 +32,23 @@ figures-quick:
 	$(GO) run ./cmd/rambda-figures -quick -parallel $(PARALLEL)
 
 # Performance-regression harness: times every figure plus the sim
-# microbenchmark kernels and writes BENCH_8.json (schema documented in
-# cmd/rambda-bench and EXPERIMENTS.md). Runs the partitioned engine at
-# -sim-parallel 4 — output stays byte-identical, only wall time moves.
+# microbenchmark kernels, writes $(BENCH_OUT) and compares it against
+# $(BENCH_BASE) (schema documented in cmd/rambda-bench and
+# EXPERIMENTS.md). Runs the partitioned engine at -sim-parallel 4 —
+# output stays byte-identical, only wall time moves. The default
+# output is an untracked scratch file, so a run never overwrites the
+# committed baseline; record a new one with
+#   make bench BENCH_OUT=BENCH_9.json
+BENCH_BASE ?= BENCH_8.json
+BENCH_OUT ?= bench-out.json
 bench:
-	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out BENCH_8.json -baseline BENCH_7.json
+	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out $(BENCH_OUT) -baseline $(BENCH_BASE)
 
-# Figures + microbenchmarks compared against the committed baseline;
-# fails on a >25% machine-normalized time regression or on alloc-count
-# regressions (micro allocs/op and per-figure totals). This is what
-# CI's bench-smoke job runs.
-bench-check:
-	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out /tmp/BENCH_ci.json -baseline BENCH_8.json
+# The same run as a gate: fails on a >25% machine-normalized time
+# regression or on alloc-count regressions (micro allocs/op and
+# per-figure totals) against $(BENCH_BASE). CI's bench-smoke job runs
+# the equivalent command.
+bench-check: bench
 
 # CPU-profile one figure end to end, then open pprof. Usage:
 #   make profile FIG=fig8

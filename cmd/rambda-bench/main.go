@@ -98,6 +98,7 @@ var microKernels = []struct {
 	{"ResourceAcquireGapFree", func(n int) { sim.BenchAcquireGapFree(n) }},
 	{"ResourceAcquireGapHeavy", func(n int) { sim.BenchAcquireGapHeavy(n) }},
 	{"ResourceAcquireGapSaturated", func(n int) { sim.BenchAcquireGapSaturated(n) }},
+	{"ResourceAcquireBehindFrontier", func(n int) { sim.BenchAcquireBehindFrontier(n) }},
 	{"ClosedLoopRun", func(n int) { sim.BenchClosedLoop(n) }},
 	{"HistogramRecord", func(n int) { sim.BenchHistogramRecord(n) }},
 	{"HistogramPercentile", func(n int) { sim.BenchHistogramPercentile(n) }},

@@ -21,8 +21,7 @@ func BenchAcquireGapFree(n int) Time {
 
 // BenchAcquireGapHeavy drives n Acquires through a churning gap
 // population: periodic leaps past the frontier open idle windows,
-// backdated arrivals backfill and split them. This is the regime the
-// indexed gap structure exists for.
+// backdated arrivals backfill and split them.
 func BenchAcquireGapHeavy(n int) Time {
 	r := NewResource("bench:gapheavy", 2, 0, 16e9, 0)
 	rng := NewRNG(42)
@@ -60,6 +59,29 @@ func BenchAcquireGapSaturated(n int) Time {
 		// unfillable 0.5us window behind itself.
 		now += 1500 * Nanosecond
 		_, done = r.Acquire(now, 1000)
+	}
+	return done
+}
+
+// BenchAcquireBehindFrontier drives n Acquires in the regime the
+// serving figures put on RAMBDA's capacity-1 datapath resources
+// (srv:upi, srv:accel:issue). Requests are walked in issue order, so one
+// op in eight lands at the frontier and pushes it out, while the rest
+// arrive 10-60 us behind it, among idle windows that earlier backfills
+// of ~1 ns ops have cut into slivers. The gap table stays at its limit.
+func BenchAcquireBehindFrontier(n int) Time {
+	r := NewResource("bench:behind", 1, 0, 50e9, 0) // 64 B = 1.28 ns
+	rng := NewRNG(17)
+	front := 60 * Microsecond
+	var done Time
+	for i := 0; i < n; i++ {
+		if i%8 == 0 {
+			front += Duration(rng.Intn(int(200*Nanosecond))) + 5*Nanosecond
+			_, done = r.Acquire(front, 64)
+			continue
+		}
+		back := front - 10*Microsecond - Duration(rng.Intn(int(50*Microsecond)))
+		_, done = r.Acquire(back, rng.Intn(128)+1)
 	}
 	return done
 }

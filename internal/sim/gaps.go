@@ -2,321 +2,477 @@ package sim
 
 import "math/bits"
 
-// gapTable indexes a resource's backfillable idle windows so that
-// Resource.place no longer pays O(gaps) per Acquire. It is the indexed
-// replacement for the original flat `[]gap` slice, and its contract is
-// bit-exact equivalence with the original linear scan (see
-// placement_equiv_test.go):
+// gapTable remembers a resource's backfillable idle windows and answers
+// Resource.place's lookup exactly as the original linear scan over an
+// age-ordered gap list did (placement_equiv_test.go pins the
+// equivalence):
 //
-//   - the winning gap for (now, occupy) is the age-earliest gap that
-//     achieves the minimal feasible start s = max(now, g.start) subject
-//     to s+occupy <= g.end;
-//   - when the table is full, recording a new gap evicts the oldest
-//     live gap.
+//   - the winner for (now, occupy) is the age-earliest gap among those
+//     reaching the smallest feasible start s = max(now, g.start),
+//     subject to s+occupy <= g.end;
+//   - a consumed gap is replaced by its left then its right remainder,
+//     each recorded as the newest gap;
+//   - recording a gap into a full table first drops the oldest gap.
 //
-// Both rules are age-sensitive: two gaps can tie on feasible start (the
-// common case is several gaps straddling `now`, all feasible at s ==
-// now), and the original scan breaks that tie toward the gap recorded
-// first. A start-ordered structure cannot reproduce that order, so the
-// table keeps gaps in age order — a sliding window over a flat buffer —
-// and gets its speedup from three exact prunes layered on top:
+// The table has two parts. The age list gives every recorded gap a
+// slot, handed out in increasing order, and keeps only a liveness bit
+// per slot: that is all the drop-oldest rule needs. The index holds the
+// gaps themselves, ordered by (start, slot), in 64-entry blocks whose
+// headers sit in one contiguous array. A new gap always has the largest
+// slot, so it goes after every indexed gap with an equal or smaller
+// start, and ties on start stay in age order without comparing slots.
 //
-//  1. a tracked max-gap-length upper bound: occupy > maxLen means no
-//     gap can fit and the scan is skipped entirely;
-//  2. per-block summaries (min start, max end, max length over 64-gap
-//     blocks): a block is scanned only if it can hold a gap covering
-//     [now, now+occupy] or a future gap that fits and could still beat
-//     the best candidate so far. Summaries are maintained as
-//     over-approximations (removal rescans a block only when the
-//     removed gap defined an extreme — see maybeRescan): a too-generous
-//     summary can only cause a fruitless block scan, never a different
-//     winner, so the bit-exact contract is unaffected;
-//  3. early exit on the first gap feasible at s == now: no later gap
-//     can strictly beat it, and the original scan would also have kept
-//     it (replacement there requires a strictly earlier start).
+// Lookup follows from the rule. Any gap starting at or before now that
+// is feasible starts at s == now, the least start possible, so the
+// winner is the oldest such covering gap if one exists. The search
+// finds the first entry starting after now and walks backward; each
+// header carries the running max of block ends up to that block, so the
+// walk stops as soon as no earlier gap can reach now+occupy. Each
+// server's idle windows are disjoint, so at most capacity live gaps
+// cover now. Otherwise every feasible gap starts after now at
+// s == g.start, and the winner is the first entry in index order, from
+// now on, whose length is at least occupy.
 //
-// Consumed gaps become tombstones (start=MaxTime, end=0 — a window no
-// request can fit) instead of being spliced out, and eviction advances
-// the window head, so both are O(1) in buffer traffic where the slice
-// paid an O(n) memmove. Appends slide the tail forward; when the tail
-// reaches the end of the buffer the live gaps are compacted back to the
-// front. The buffer is 2x maxGaps, so each compaction is separated by
-// at least maxGaps appends and amortizes to O(1) per append.
+// Two choices keep updates cheap. A split writes its first remainder
+// over the consumed entry when that keeps the order, so a backfill
+// usually moves no entries. Eviction is lazy: dropping the oldest gap
+// clears its liveness bit and leaves its entry in the index as a zombie
+// that searches skip. Every entry, live or zombie, holds a distinct
+// slot, and slots run to 1.5x the live limit, which bounds the index.
+// When they run out, compact renumbers the live slots in age order and
+// sweeps the zombies, so that cost amortizes over at least limit/2
+// recordings.
 type gapTable struct {
-	buf    []gap      // fixed 2*maxGaps slots; live window is [head, tail)
-	blocks []gapBlock // per-block summaries over the full buffer
-	occ    []uint64   // per-block live-slot bitmaps; scans visit only set bits
-	head   int        // oldest slot (may be a tombstone)
-	tail   int        // one past the newest slot
-	live   int        // live (non-tombstone) gaps in [head, tail)
-	maxLen Duration   // upper bound on live gap length; exact after compact
-	maxEnd Time       // upper bound on live gap end; exact after compact
+	limit  int                   // live gaps kept: maxGaps (tests shrink it)
+	alive  [gapSlots / 64]uint64 // liveness bit per slot
+	head   int                   // no live slot below head
+	tail   int                   // next slot to hand out
+	live   int                   // live gaps
+	maxLen Duration              // upper bound on indexed gap length
+
+	hdr  []gapHdr   // index blocks in (start, slot) order
+	pool []gapChunk // entry storage, one chunk per block
+	free []int32    // pool chunks no block uses
 }
 
-// gapBlock summarizes one gapBlockSize-aligned run of buffer slots.
-// Tombstones are neutral: they cannot lower minStart, raise maxEnd, or
-// raise maxLen, so a summary over the full physical block stays valid.
-type gapBlock struct {
-	minStart Time
-	maxEnd   Time
-	maxLen   Duration
+// gapHdr describes one index block. first is exact; maxEnd, maxLen and
+// runEnd are upper bounds (removals leave them loose until the block is
+// split or the table compacts), which can only cost a fruitless scan,
+// never change the winner.
+type gapHdr struct {
+	first  Time     // start of the block's first entry
+	maxEnd Time     // largest end in the block
+	runEnd Time     // largest end in this block and every earlier one
+	maxLen Duration // longest gap in the block
+	n      int32    // entries in use
+	chunk  int32    // index into pool
 }
 
 const (
-	gapBlockShift = 6 // 64 gaps per summary block
+	gapBlockShift = 6 // 64 entries per index block
 	gapBlockSize  = 1 << gapBlockShift
+
+	gapSlots = maxGaps + maxGaps/2 // age slots at the maxGaps limit
 )
 
-// deadGap marks a consumed or evicted slot. max(now, MaxTime)+occupy
-// can never sit inside [MaxTime, 0), so tombstones fail every
-// feasibility test without a dedicated branch (the fit check is written
-// end-s >= occupy, which cannot overflow for any slot state).
-var deadGap = gap{start: MaxTime, end: 0}
-
-func newGapTable() *gapTable {
-	t := &gapTable{
-		buf:    make([]gap, 2*maxGaps),
-		blocks: make([]gapBlock, (2*maxGaps)/gapBlockSize),
-		occ:    make([]uint64, (2*maxGaps)/gapBlockSize),
-	}
-	for i := range t.buf {
-		t.buf[i] = deadGap
-	}
-	for i := range t.blocks {
-		t.blocks[i] = deadBlock()
-	}
-	return t
+// gapChunk stores one block's entries as parallel arrays, so the
+// backward walk reads only ends and slots.
+type gapChunk struct {
+	start [gapBlockSize]Time
+	end   [gapBlockSize]Time
+	slot  [gapBlockSize]uint16
 }
 
-func deadBlock() gapBlock {
-	return gapBlock{minStart: MaxTime, maxEnd: 0, maxLen: 0}
+func (t *gapTable) isLive(slot uint16) bool {
+	return t.alive[slot>>6]>>(slot&63)&1 != 0
 }
 
-// len reports the number of live gaps.
-func (t *gapTable) len() int { return t.live }
+// add records [start, end) as the newest gap.
+func (t *gapTable) add(start, end Time) {
+	t.insert(start, end, t.newSlot())
+}
 
-// add appends a gap as the newest entry, evicting the oldest live gap
-// first when the table is at capacity — the same drop-oldest policy the
-// flat slice used, but O(1) instead of an O(n) memmove.
-func (t *gapTable) add(g gap) {
-	if t.live >= maxGaps {
+// newSlot hands out the next age slot, dropping the oldest live gap
+// first when the table is full and renumbering when slots run out.
+func (t *gapTable) newSlot() uint16 {
+	if t.live >= t.limit {
 		t.evictOldest()
 	}
-	if t.tail == len(t.buf) {
+	if t.tail == t.limit+t.limit/2 {
 		t.compact()
 	}
-	slot := t.tail
+	s := t.tail
 	t.tail++
 	t.live++
-	t.buf[slot] = g
-	t.occ[slot>>gapBlockShift] |= 1 << (slot & (gapBlockSize - 1))
-	blk := &t.blocks[slot>>gapBlockShift]
-	if g.start < blk.minStart {
-		blk.minStart = g.start
+	t.alive[s>>6] |= 1 << (s & 63)
+	return uint16(s)
+}
+
+// evictOldest clears the oldest live slot. Its index entry stays behind
+// as a zombie.
+func (t *gapTable) evictOldest() {
+	w := t.head >> 6
+	word := t.alive[w] &^ (1<<(t.head&63) - 1)
+	for word == 0 {
+		w++
+		word = t.alive[w]
 	}
-	if g.end > blk.maxEnd {
-		blk.maxEnd = g.end
+	s := w<<6 + bits.TrailingZeros64(word)
+	t.alive[w] &^= 1 << (s & 63)
+	t.head = s + 1
+	t.live--
+}
+
+// backfill places an operation of length occupy arriving at now into
+// the winning gap, records the gap's remainders, and returns the start.
+// ok is false when no gap fits.
+func (t *gapTable) backfill(now Time, occupy Duration) (start Time, ok bool) {
+	b, i := t.search(now, occupy)
+	if b < 0 {
+		return 0, false
 	}
-	if l := g.end - g.start; l > blk.maxLen {
-		blk.maxLen = l
+	c := &t.pool[t.hdr[b].chunk]
+	gs, ge, slot := c.start[i], c.end[i], c.slot[i]
+	start = now
+	if gs > now {
+		start = gs
+	}
+	t.alive[slot>>6] &^= 1 << (slot & 63)
+	t.live--
+
+	var rem [2]gap
+	k := 0
+	if start > gs {
+		rem[k] = gap{gs, start}
+		k++
+	}
+	if start+occupy < ge {
+		rem[k] = gap{start + occupy, ge}
+		k++
+	}
+	if k == 0 {
+		t.removeAt(b, i)
+		return start, true
+	}
+	for j, g := range rem[:k] {
+		tail := t.tail
+		s := t.newSlot()
+		// A compaction in newSlot swept the consumed entry, so (b, i)
+		// is only meaningful for the first remainder without one.
+		if j == 0 && int(s) == tail {
+			if t.precedesNext(b, i, g.start) {
+				// The remainder lies inside the consumed gap and sorts
+				// before the next entry, so it takes the consumed
+				// entry's place; the block's bounds stay valid.
+				c.start[i], c.end[i], c.slot[i] = g.start, g.end, s
+				if i == 0 {
+					t.hdr[b].first = g.start
+				}
+				continue
+			}
+			t.removeAt(b, i)
+		}
+		t.insert(g.start, g.end, s)
+	}
+	return start, true
+}
+
+// precedesNext reports whether a new entry starting at start would sort
+// right after the entries before (b, i): the entry following (b, i),
+// if any, must start strictly later.
+func (t *gapTable) precedesNext(b, i int, start Time) bool {
+	h := &t.hdr[b]
+	if i+1 < int(h.n) {
+		return t.pool[h.chunk].start[i+1] > start
+	}
+	return b+1 == len(t.hdr) || t.hdr[b+1].first > start
+}
+
+// search returns the index position (block, offset) of the winning gap
+// for an operation of length occupy arriving at now, or block -1.
+func (t *gapTable) search(now Time, occupy Duration) (blk, off int) {
+	nb := len(t.hdr)
+	target := now + occupy
+	if nb == 0 || occupy > t.maxLen || t.hdr[nb-1].runEnd < target {
+		return -1, 0
+	}
+	// The entries starting at or before now end in block b0, at
+	// offset hi.
+	b0, hi := t.blockAfter(now)-1, 0
+	if b0 >= 0 {
+		h := &t.hdr[b0]
+		c := &t.pool[h.chunk]
+		hi = int(h.n)
+		for hi > 0 && c.start[hi-1] > now {
+			hi--
+		}
+	}
+
+	// Backward: the oldest live gap covering [now, target).
+	bestB, bestI, bestSlot := -1, 0, uint16(0)
+	for b, n := b0, hi; b >= 0; b-- {
+		h := &t.hdr[b]
+		if h.runEnd < target {
+			break
+		}
+		if b != b0 {
+			n = int(h.n)
+		}
+		if h.maxEnd < target {
+			continue
+		}
+		c := &t.pool[h.chunk]
+		for i := n - 1; i >= 0; i-- {
+			if c.end[i] < target {
+				continue
+			}
+			if s := c.slot[i]; (bestB < 0 || s < bestSlot) && t.isLive(s) {
+				bestB, bestI, bestSlot = b, i, s
+			}
+		}
+	}
+	if bestB >= 0 {
+		return bestB, bestI
+	}
+
+	// Forward: the first live gap starting after now that is long
+	// enough. Entries at equal start sit in age order.
+	b, i := b0, hi
+	if b < 0 {
+		b = 0
+	}
+	for ; b < nb; b, i = b+1, 0 {
+		h := &t.hdr[b]
+		if h.maxLen < occupy || h.maxEnd < target {
+			continue
+		}
+		c := &t.pool[h.chunk]
+		for n := int(h.n); i < n; i++ {
+			if c.end[i]-c.start[i] >= occupy && t.isLive(c.slot[i]) {
+				return b, i
+			}
+		}
+	}
+	return -1, 0
+}
+
+// blockAfter returns the index of the first block starting after at.
+func (t *gapTable) blockAfter(at Time) int {
+	lo, hi := 0, len(t.hdr)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.hdr[m].first <= at {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// insert places an entry after every indexed entry starting at or
+// before start.
+func (t *gapTable) insert(start, end Time, slot uint16) {
+	if len(t.hdr) == 0 {
+		c := t.newChunk()
+		t.hdr = append(t.hdr, gapHdr{chunk: c})
+	}
+	b := max(t.blockAfter(start)-1, 0) // last block starting at or before start
+	h := &t.hdr[b]
+	c := &t.pool[h.chunk]
+	i := int(h.n)
+	for i > 0 && c.start[i-1] > start {
+		i--
+	}
+	if h.n == gapBlockSize {
+		if i == gapBlockSize && b == len(t.hdr)-1 {
+			// Appending past the last full block: open a fresh block
+			// rather than leaving two half-full ones behind.
+			t.openBlock(b+1, t.newChunk())
+			b, i = b+1, 0
+		} else {
+			t.split(b)
+			if i > gapBlockSize/2 {
+				b, i = b+1, i-gapBlockSize/2
+			}
+		}
+		h = &t.hdr[b]
+		c = &t.pool[h.chunk]
+	}
+	n := int(h.n)
+	copy(c.start[i+1:n+1], c.start[i:n])
+	copy(c.end[i+1:n+1], c.end[i:n])
+	copy(c.slot[i+1:n+1], c.slot[i:n])
+	c.start[i], c.end[i], c.slot[i] = start, end, slot
+	h.n++
+	if i == 0 {
+		h.first = start
+	}
+	if end > h.maxEnd {
+		h.maxEnd = end
+	}
+	if l := end - start; l > h.maxLen {
+		h.maxLen = l
 		if l > t.maxLen {
 			t.maxLen = l
 		}
 	}
-	if g.end > t.maxEnd {
-		t.maxEnd = g.end
+	for k := b; k < len(t.hdr) && t.hdr[k].runEnd < end; k++ {
+		t.hdr[k].runEnd = end
 	}
 }
 
-// evictOldest tombstones the oldest live gap.
-func (t *gapTable) evictOldest() {
-	for t.buf[t.head] == deadGap {
-		t.head++
+// removeAt deletes the entry at (b, i), dropping the block if it
+// empties.
+func (t *gapTable) removeAt(b, i int) {
+	h := &t.hdr[b]
+	c := &t.pool[h.chunk]
+	n := int(h.n)
+	copy(c.start[i:n-1], c.start[i+1:n])
+	copy(c.end[i:n-1], c.end[i+1:n])
+	copy(c.slot[i:n-1], c.slot[i+1:n])
+	h.n--
+	switch {
+	case h.n == 0:
+		t.free = append(t.free, h.chunk)
+		t.hdr = append(t.hdr[:b], t.hdr[b+1:]...)
+	case i == 0:
+		h.first = c.start[0]
 	}
-	g := t.buf[t.head]
-	t.buf[t.head] = deadGap
-	t.occ[t.head>>gapBlockShift] &^= 1 << (t.head & (gapBlockSize - 1))
-	t.head++
-	t.live--
-	t.maybeRescan((t.head-1)>>gapBlockShift, g)
 }
 
-// take removes and returns the gap at slot (previously returned by
-// search).
-func (t *gapTable) take(slot int) gap {
-	g := t.buf[slot]
-	t.buf[slot] = deadGap
-	t.occ[slot>>gapBlockShift] &^= 1 << (slot & (gapBlockSize - 1))
-	t.live--
-	t.maybeRescan(slot>>gapBlockShift, g)
-	return g
-}
-
-// maybeRescan rebuilds block b's summary only when the gap just removed
-// from it defined one of the summary's extremes. A gap strictly inside
-// all three bounds cannot change them, so the summary stays exact
-// without touching the other 63 slots — and even when a rescan is
-// skipped wrongly-pessimistically (removed gap tied an extreme another
-// gap also achieves), the summary merely over-approximates, which the
-// search prunes tolerate by construction: a too-generous summary scans
-// a block that yields nothing, it never changes the winner.
-func (t *gapTable) maybeRescan(b int, g gap) {
-	blk := &t.blocks[b]
-	if g.start > blk.minStart && g.end < blk.maxEnd && g.end-g.start < blk.maxLen {
-		return
+// openBlock inserts an empty block using chunk at header position b.
+func (t *gapTable) openBlock(b int, chunk int32) {
+	t.hdr = append(t.hdr, gapHdr{})
+	copy(t.hdr[b+1:], t.hdr[b:])
+	t.hdr[b] = gapHdr{chunk: chunk}
+	if b > 0 {
+		t.hdr[b].runEnd = t.hdr[b-1].runEnd
 	}
-	t.rescanBlock(b)
 }
 
-// rescanBlock rebuilds one block's summary from its slots. Tombstones
-// are summary-neutral, so the straight sequential sweep (which the
-// hardware prefetches) beats iterating the occupancy bits when blocks
-// run dense — and blocks are dense by construction, since appends fill
-// them front to back.
-func (t *gapTable) rescanBlock(b int) {
-	lo := b << gapBlockShift
-	blk := deadBlock()
-	for _, g := range t.buf[lo : lo+gapBlockSize] {
-		if g.start < blk.minStart {
-			blk.minStart = g.start
+// split moves the upper half of full block b into a new block b+1 and
+// recomputes both blocks' bounds exactly.
+func (t *gapTable) split(b int) {
+	const half = gapBlockSize / 2
+	t.openBlock(b+1, t.newChunk())
+	src := &t.pool[t.hdr[b].chunk]
+	dst := &t.pool[t.hdr[b+1].chunk]
+	copy(dst.start[:], src.start[half:])
+	copy(dst.end[:], src.end[half:])
+	copy(dst.slot[:], src.slot[half:])
+	t.hdr[b].n, t.hdr[b+1].n = half, half
+	t.summarize(b)
+	t.summarize(b + 1)
+}
+
+// summarize recomputes block b's bounds from its entries, taking the
+// running end from block b-1.
+func (t *gapTable) summarize(b int) {
+	h := &t.hdr[b]
+	c := &t.pool[h.chunk]
+	h.first, h.maxEnd, h.maxLen = c.start[0], 0, 0
+	for i := 0; i < int(h.n); i++ {
+		if c.end[i] > h.maxEnd {
+			h.maxEnd = c.end[i]
 		}
-		if g.end > blk.maxEnd {
-			blk.maxEnd = g.end
-		}
-		if l := g.end - g.start; l > blk.maxLen {
-			blk.maxLen = l
+		if l := c.end[i] - c.start[i]; l > h.maxLen {
+			h.maxLen = l
 		}
 	}
-	t.blocks[b] = blk
+	h.runEnd = h.maxEnd
+	if b > 0 && t.hdr[b-1].runEnd > h.runEnd {
+		h.runEnd = t.hdr[b-1].runEnd
+	}
 }
 
-// compact slides the live gaps back to the front of the buffer in age
-// order and rebuilds the summaries and the exact max length.
+// newChunk returns an unused pool chunk. A table that records only a
+// few gaps keeps a 4-chunk pool; the first growth past that goes
+// straight to the size a saturated table settles at, a little over
+// gapSlots/gapBlockSize chunks (~124 KiB), so a busy table allocates
+// once instead of leaving doubled copies behind for the GC.
+func (t *gapTable) newChunk() int32 {
+	if n := len(t.free); n > 0 {
+		c := t.free[n-1]
+		t.free = t.free[:n-1]
+		return c
+	}
+	if c := cap(t.pool); len(t.pool) == c {
+		const busy = gapSlots / gapBlockSize * 9 / 8
+		next := 4
+		switch {
+		case c >= busy:
+			next = c + c/2
+		case c > 0:
+			next = busy
+		}
+		grown := make([]gapChunk, len(t.pool), next)
+		copy(grown, t.pool)
+		t.pool = grown
+		// Every block owns a chunk, so neither the headers nor the
+		// (now empty) free list can outgrow the pool.
+		t.hdr = append(make([]gapHdr, 0, next), t.hdr...)
+		t.free = make([]int32, 0, next)
+	}
+	t.pool = t.pool[:len(t.pool)+1]
+	return int32(len(t.pool) - 1)
+}
+
+// compact renumbers the live slots 0..live-1 in age order and rewrites
+// the index without its zombies, packing full blocks. Entries only move
+// toward the front in index order, so the sweep runs in place.
 func (t *gapTable) compact() {
-	n := 0
-	for i := t.head; i < t.tail; i++ {
-		if g := t.buf[i]; g != deadGap {
-			t.buf[n] = g
-			n++
-		}
+	var rank [len(t.alive)]int
+	r := 0
+	for w, word := range t.alive {
+		rank[w] = r
+		r += bits.OnesCount64(word)
 	}
-	for i := n; i < t.tail; i++ {
-		t.buf[i] = deadGap
-	}
-	for i := range t.occ {
-		t.occ[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		t.occ[i>>gapBlockShift] |= 1 << (i & (gapBlockSize - 1))
-	}
-	t.head, t.tail = 0, n
-	t.maxLen = 0
-	t.maxEnd = 0
-	for b := range t.blocks {
-		t.rescanBlock(b)
-		if t.blocks[b].maxLen > t.maxLen {
-			t.maxLen = t.blocks[b].maxLen
-		}
-		if t.blocks[b].maxEnd > t.maxEnd {
-			t.maxEnd = t.blocks[b].maxEnd
-		}
-	}
-}
-
-// search returns the slot of the gap the original linear scan would
-// have chosen for an operation of length occupy arriving at now, and
-// the feasible start within it, or slot -1 if no gap fits.
-func (t *gapTable) search(now Time, occupy Duration) (slot int, start Time) {
-	if t.live == 0 || occupy > t.maxLen {
-		return -1, 0
-	}
-	target := now + occupy
-	// A feasible gap needs end >= max(now, start) + occupy >= target, so
-	// when even the newest remembered window ends before target the scan
-	// cannot succeed. This is the steady-state fast path: most windows
-	// are wholly in the past, and the table-level bound answers in O(1)
-	// what the per-block maxEnd prunes would answer in O(blocks).
-	if t.maxEnd < target {
-		return -1, 0
-	}
-	best := -1
-	var bestStart Time
-	var tightMax Duration
-	var tightEnd Time
-	lastBlock := (t.tail - 1) >> gapBlockShift
-	for b := t.head >> gapBlockShift; b <= lastBlock; b++ {
-		if t.occ[b] == 0 {
-			continue
-		}
-		blk := &t.blocks[b]
-		if blk.maxLen > tightMax {
-			tightMax = blk.maxLen
-		}
-		if blk.maxEnd > tightEnd {
-			tightEnd = blk.maxEnd
-		}
-		// Any feasible gap ends at or after now+occupy (s >= now always),
-		// so maxEnd < target prunes a block outright — in steady state
-		// most remembered windows are wholly in the past and this is the
-		// prune that carries the load. A surviving block is scanned if it
-		// can hold a covering gap (start <= now, feasible at s == now) or
-		// a future gap at least occupy long starting strictly before the
-		// best candidate so far (the original scan's strict-< replacement
-		// rule).
-		if blk.maxEnd < target {
-			continue
-		}
-		scanCovering := blk.minStart <= now
-		scanFuture := blk.maxLen >= occupy && (best < 0 || blk.minStart < bestStart)
-		if !scanCovering && !scanFuture {
-			continue
-		}
-		lo := b << gapBlockShift
-		// Only live slots carry a set bit (slots before head, past tail,
-		// and tombstones are all clear), and ascending bit order is age
-		// order, so the scan touches exactly the live gaps the original
-		// slot walk would have tested.
-		for mask := t.occ[b]; mask != 0; mask &= mask - 1 {
-			i := lo + bits.TrailingZeros64(mask)
-			g := t.buf[i]
-			s := now
-			if g.start > now {
-				s = g.start
-			}
-			if g.end-s < occupy {
+	w := 0
+	var dst *gapChunk
+	for b := range t.hdr {
+		src := &t.pool[t.hdr[b].chunk]
+		for i, n := 0, int(t.hdr[b].n); i < n; i++ {
+			s := src.slot[i]
+			word := t.alive[s>>6]
+			if word>>(s&63)&1 == 0 {
 				continue
 			}
-			if s == now {
-				// Age-earliest covering gap: nothing later can strictly
-				// improve on it, exactly as in the linear scan.
-				return i, s
+			o := w & (gapBlockSize - 1)
+			if o == 0 {
+				dst = &t.pool[t.hdr[w>>gapBlockShift].chunk]
 			}
-			if best < 0 || s < bestStart {
-				best, bestStart = i, s
-			}
+			dst.start[o], dst.end[o] = src.start[i], src.end[i]
+			dst.slot[o] = uint16(rank[s>>6] + bits.OnesCount64(word&(1<<(s&63)-1)))
+			w++
 		}
 	}
-	if best < 0 {
-		// Full miss: every block summary was consulted, so tightMax and
-		// tightEnd bound the live population — re-tighten the skip
-		// bounds (block summaries may themselves over-approximate, so
-		// these stay upper bounds, which is all the fast paths need).
-		t.maxLen = tightMax
-		t.maxEnd = tightEnd
+	nb := (w + gapBlockSize - 1) >> gapBlockShift
+	for _, h := range t.hdr[nb:] {
+		t.free = append(t.free, h.chunk)
 	}
-	return best, bestStart
+	t.hdr = t.hdr[:nb]
+	t.maxLen = 0
+	for b := range t.hdr {
+		t.hdr[b].n = int32(min(gapBlockSize, w-b<<gapBlockShift))
+		t.summarize(b)
+		t.maxLen = max(t.maxLen, t.hdr[b].maxLen)
+	}
+	for i := range t.alive {
+		t.alive[i] = 0
+	}
+	for s := 0; s < w; s++ {
+		t.alive[s>>6] |= 1 << (s & 63)
+	}
+	t.head, t.tail, t.live = 0, w, w
 }
 
-// reset clears the table, keeping the allocation.
+// reset clears the table, keeping its storage.
 func (t *gapTable) reset() {
-	for i := t.head; i < t.tail; i++ {
-		t.buf[i] = deadGap
+	for _, h := range t.hdr {
+		t.free = append(t.free, h.chunk)
 	}
-	t.head, t.tail, t.live, t.maxLen, t.maxEnd = 0, 0, 0, 0, 0
-	for i := range t.blocks {
-		t.blocks[i] = deadBlock()
-	}
-	for i := range t.occ {
-		t.occ[i] = 0
-	}
+	t.hdr = t.hdr[:0]
+	t.alive = [len(t.alive)]uint64{}
+	t.head, t.tail, t.live, t.maxLen = 0, 0, 0, 0
 }

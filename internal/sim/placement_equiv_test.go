@@ -2,19 +2,24 @@ package sim
 
 import (
 	"container/heap"
+	"math/bits"
+	"slices"
 	"testing"
 )
 
-// linearResource is the pre-index placement algorithm, kept verbatim as
+// linearResource is the original placement algorithm, kept verbatim as
 // the reference implementation: a flat age-ordered gap slice with an
 // O(gaps) scan, O(n) slice-delete, O(n) copy on oldest-drop, and a
-// container/heap server heap. gapTable must reproduce its (start, done)
-// stream bit-for-bit on any input — equivalence is the invariant that
-// keeps every figure byte-identical across the optimization.
+// container/heap server heap. Resource must reproduce its (start, done)
+// stream bit-for-bit on any input, and its gap table must hold the same
+// live gaps in the same age order. Equivalence is the invariant that
+// keeps every figure byte-identical while gapTable (a start-ordered
+// block index with lazily evicted zombies) replaces the scan.
 type linearResource struct {
 	overhead    Duration
 	psPerByte   float64
 	propagation Duration
+	limit       int // gaps kept before the oldest is dropped
 	free        linearServerHeap
 	gaps        []gap
 }
@@ -33,8 +38,8 @@ func (h *linearServerHeap) Pop() any {
 	return x
 }
 
-func newLinearResource(capacity int, overhead Duration, bytesPerSec float64, propagation Duration) *linearResource {
-	r := &linearResource{overhead: overhead, propagation: propagation}
+func newLinearResource(capacity int, overhead Duration, bytesPerSec float64, propagation Duration, limit int) *linearResource {
+	r := &linearResource{overhead: overhead, propagation: propagation, limit: limit}
 	if bytesPerSec > 0 {
 		r.psPerByte = float64(Second) / bytesPerSec
 	}
@@ -98,7 +103,7 @@ func (r *linearResource) recordGap(start, end Time) {
 	if end <= start {
 		return
 	}
-	if len(r.gaps) >= maxGaps {
+	if len(r.gaps) >= r.limit {
 		copy(r.gaps, r.gaps[1:])
 		r.gaps = r.gaps[:len(r.gaps)-1]
 	}
@@ -112,14 +117,31 @@ type equivOp struct {
 	occupy Duration // > 0 selects Occupy instead of Acquire
 }
 
-// runEquivalence drives the indexed and the linear placement through
-// the same op stream and fails on the first diverging (start, done)
-// pair.
-func runEquivalence(t *testing.T, capacity int, overhead Duration, bytesPerSec float64, propagation Duration, ops []equivOp) {
+// equivConfig is the resource both implementations are built as.
+type equivConfig struct {
+	capacity    int
+	overhead    Duration
+	bytesPerSec float64
+	propagation Duration
+	limit       int // gap-table limit; 0 means maxGaps
+}
+
+// equivRun drives the indexed and the linear placement through the same
+// op stream. It fails on the first diverging (start, done) pair, and
+// every checkEvery ops and at the end it checks the gap table's
+// invariants and compares its live gaps, in age order, with the linear
+// list. It returns the gap table's final live count and the number of
+// compactions it ran.
+func equivRun(t testing.TB, cfg equivConfig, ops []equivOp, checkEvery int) (live, compactions int) {
 	t.Helper()
-	indexed := NewResource("equiv", capacity, overhead, bytesPerSec, propagation)
-	linear := newLinearResource(capacity, overhead, bytesPerSec, propagation)
+	if cfg.limit == 0 {
+		cfg.limit = maxGaps
+	}
+	indexed := NewResource("equiv", cfg.capacity, cfg.overhead, cfg.bytesPerSec, cfg.propagation)
+	indexed.gaps.limit = cfg.limit
+	linear := newLinearResource(cfg.capacity, cfg.overhead, cfg.bytesPerSec, cfg.propagation, cfg.limit)
 	for i, op := range ops {
+		tail := indexed.gaps.tail
 		var s1, d1, s2, d2 Time
 		if op.occupy > 0 {
 			s1, d1 = indexed.Occupy(op.now, op.occupy)
@@ -128,13 +150,101 @@ func runEquivalence(t *testing.T, capacity int, overhead Duration, bytesPerSec f
 			s1, d1 = indexed.Acquire(op.now, op.bytes)
 			s2, d2 = linear.acquire(op.now, op.bytes)
 		}
+		if indexed.gaps.tail < tail {
+			compactions++
+		}
 		if s1 != s2 || d1 != d2 {
 			t.Fatalf("op %d (now=%v bytes=%d occupy=%v): indexed (%v,%v) != linear (%v,%v); live gaps=%d",
-				i, op.now, op.bytes, op.occupy, s1, d1, s2, d2, indexed.gaps.len())
+				i, op.now, op.bytes, op.occupy, s1, d1, s2, d2, indexed.gaps.live)
+		}
+		if (checkEvery > 0 && (i+1)%checkEvery == 0) || i == len(ops)-1 {
+			checkGapTable(t, &indexed.gaps)
+			if got := ageOrderedGaps(&indexed.gaps); !slices.Equal(got, linear.gaps) {
+				t.Fatalf("after op %d: live gaps diverged: indexed %d, linear %d", i, len(got), len(linear.gaps))
+			}
 		}
 	}
-	if got, want := indexed.gaps.len(), len(linear.gaps); got != want {
-		t.Fatalf("live gap count diverged: indexed %d, linear %d", got, want)
+	return indexed.gaps.live, compactions
+}
+
+// ageOrderedGaps lists the table's live gaps oldest first.
+func ageOrderedGaps(g *gapTable) []gap {
+	type aged struct {
+		slot uint16
+		g    gap
+	}
+	var all []aged
+	for _, h := range g.hdr {
+		c := &g.pool[h.chunk]
+		for i := 0; i < int(h.n); i++ {
+			if g.isLive(c.slot[i]) {
+				all = append(all, aged{c.slot[i], gap{c.start[i], c.end[i]}})
+			}
+		}
+	}
+	slices.SortFunc(all, func(a, b aged) int { return int(a.slot) - int(b.slot) })
+	out := make([]gap, len(all))
+	for i, a := range all {
+		out[i] = a.g
+	}
+	return out
+}
+
+// checkGapTable verifies the index invariants the search relies on:
+// entries sorted by (start, slot), exact block first keys, header
+// bounds that bound their entries, a non-decreasing running end, and
+// one index entry per live slot.
+func checkGapTable(t testing.TB, g *gapTable) {
+	t.Helper()
+	seen := make([]bool, g.tail)
+	live := 0
+	var prevStart, runEnd Time
+	var prevSlot uint16
+	first := true
+	for b, h := range g.hdr {
+		if h.n < 1 || h.n > gapBlockSize {
+			t.Fatalf("block %d holds %d entries", b, h.n)
+		}
+		c := &g.pool[h.chunk]
+		if h.first != c.start[0] {
+			t.Fatalf("block %d first %v, entry 0 starts %v", b, h.first, c.start[0])
+		}
+		for i := 0; i < int(h.n); i++ {
+			st, en, sl := c.start[i], c.end[i], c.slot[i]
+			if en <= st {
+				t.Fatalf("block %d entry %d is empty: [%v,%v)", b, i, st, en)
+			}
+			if !first && (st < prevStart || st == prevStart && sl < prevSlot) {
+				t.Fatalf("block %d entry %d out of order: (%v,%d) after (%v,%d)", b, i, st, sl, prevStart, prevSlot)
+			}
+			first, prevStart, prevSlot = false, st, sl
+			if int(sl) >= g.tail || seen[sl] {
+				t.Fatalf("block %d entry %d: slot %d reused or past tail %d", b, i, sl, g.tail)
+			}
+			seen[sl] = true
+			if g.isLive(sl) {
+				live++
+			}
+			if en > h.maxEnd || en-st > h.maxLen || en-st > g.maxLen {
+				t.Fatalf("block %d entry %d [%v,%v) escapes its bounds", b, i, st, en)
+			}
+		}
+		runEnd = max(runEnd, h.maxEnd)
+		if h.runEnd < runEnd {
+			t.Fatalf("block %d running end %v below %v", b, h.runEnd, runEnd)
+		}
+	}
+	bitsSet := 0
+	for w, word := range g.alive {
+		for ; word != 0; word &= word - 1 {
+			if s := w<<6 + bits.TrailingZeros64(word); s < g.head || s >= g.tail {
+				t.Fatalf("live slot %d outside [head %d, tail %d)", s, g.head, g.tail)
+			}
+			bitsSet++
+		}
+	}
+	if live != g.live || bitsSet != g.live {
+		t.Fatalf("live count %d, indexed live %d, live bits %d", g.live, live, bitsSet)
 	}
 }
 
@@ -189,7 +299,7 @@ func TestPlacementEquivalenceStress(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ops := equivStressOps(tc.seed, n, 40, 200)
-			runEquivalence(t, tc.capacity, tc.overhead, tc.bytesPerSec, tc.propagation, ops)
+			equivRun(t, equivConfig{capacity: tc.capacity, overhead: tc.overhead, bytesPerSec: tc.bytesPerSec, propagation: tc.propagation}, ops, 0)
 		})
 	}
 }
@@ -220,7 +330,91 @@ func TestPlacementEquivalenceGapSaturated(t *testing.T) {
 			ops = append(ops, equivOp{now: now, bytes: rng.Intn(256) + 1})
 		}
 	}
-	runEquivalence(t, 1, 0, 64e9, 0, ops)
+	equivRun(t, equivConfig{capacity: 1, bytesPerSec: 64e9}, ops, 0)
+}
+
+// servingRegimeOps mimics how the serving figures drive a resource such
+// as srv:upi or srv:accel:issue. Requests are walked in issue order, so
+// a few ops land at the frontier and push it out, while most arrive
+// 10-60 us behind it, where earlier backfills have cut the idle windows
+// into ns-scale slivers.
+func servingRegimeOps(seed uint64, n int) []equivOp {
+	rng := NewRNG(seed)
+	ops := make([]equivOp, n)
+	front := 60 * Microsecond
+	for i := range ops {
+		switch r := rng.Intn(16); {
+		case r < 2:
+			front += Duration(rng.Intn(int(300*Nanosecond))) + 5*Nanosecond
+			ops[i] = equivOp{now: front, bytes: rng.Intn(128) + 1}
+		case r < 3:
+			back := front - 10*Microsecond - Duration(rng.Intn(int(50*Microsecond)))
+			ops[i] = equivOp{now: back, occupy: Duration(rng.Intn(int(20*Nanosecond))) + 1}
+		default:
+			back := front - 10*Microsecond - Duration(rng.Intn(int(50*Microsecond)))
+			ops[i] = equivOp{now: back, bytes: rng.Intn(128) + 1}
+		}
+	}
+	return ops
+}
+
+// TestPlacementEquivalenceServingRegime runs the serving pattern at
+// capacity 1 and 6 long enough that the table stays saturated and its
+// zombies are swept by several compactions.
+func TestPlacementEquivalenceServingRegime(t *testing.T) {
+	n := 100_000
+	if raceEnabled || testing.Short() {
+		n = 30_000
+	}
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		seed     uint64
+	}{
+		{"capacity-1", 1, 21},
+		{"capacity-6", 6, 22},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := equivConfig{capacity: tc.capacity, bytesPerSec: 50e9, propagation: 100 * Nanosecond}
+			live, compactions := equivRun(t, cfg, servingRegimeOps(tc.seed, n), 20_000)
+			if live != maxGaps || compactions < 3 {
+				t.Fatalf("%d live gaps after %d compactions: the table never stayed saturated", live, compactions)
+			}
+		})
+	}
+}
+
+// TestPlacementEquivalenceEqualStarts aligns every server's frontier,
+// then opens one window per server from that shared instant, so gaps on
+// different servers start together. Arrivals at and just after the
+// shared start are covered by several gaps at once and must split the
+// oldest; the gap lists are compared after every op, at a small limit
+// so that eviction and compaction also see the ties.
+func TestPlacementEquivalenceEqualStarts(t *testing.T) {
+	const capacity = 4
+	rng := NewRNG(5)
+	var ops []equivOp
+	now := Time(0)
+	for round := 0; round < 400; round++ {
+		// Lockstep: one equal op per server at the same instant.
+		for k := 0; k < capacity; k++ {
+			ops = append(ops, equivOp{now: now, bytes: 100})
+		}
+		shared := now + 100*Nanosecond
+		// One window per server from the shared frontier, with distinct
+		// or equal ends.
+		for k := 0; k < capacity; k++ {
+			end := shared + Duration(rng.Intn(3)+1)*50*Nanosecond
+			ops = append(ops, equivOp{now: end, bytes: 10})
+		}
+		// Probes at and just after the shared start.
+		for k := 0; k < 3; k++ {
+			ops = append(ops, equivOp{now: shared + Duration(rng.Intn(3))*Nanosecond, bytes: rng.Intn(20) + 1})
+		}
+		now = shared + 400*Nanosecond
+	}
+	equivRun(t, equivConfig{capacity: capacity, bytesPerSec: 1e9}, ops, 64)
+	equivRun(t, equivConfig{capacity: capacity, bytesPerSec: 1e9, limit: 48}, ops, 1)
 }
 
 // TestPlacementEquivalenceBoundaryPatterns hits the structural edges of
@@ -234,7 +428,7 @@ func TestPlacementEquivalenceBoundaryPatterns(t *testing.T) {
 		{now: 3 * Microsecond, bytes: 0}, // overhead-free
 		{now: 2 * Microsecond, occupy: Microsecond},
 	}
-	runEquivalence(t, 1, 0, 1e9, 0, ops)
+	equivRun(t, equivConfig{capacity: 1, bytesPerSec: 1e9}, ops, 0)
 
 	// Eviction pressure with splits: fill past maxGaps, then split many.
 	rng := NewRNG(7)
@@ -247,18 +441,64 @@ func TestPlacementEquivalenceBoundaryPatterns(t *testing.T) {
 	for i := 0; i < maxGaps; i++ {
 		long = append(long, equivOp{now: Duration(rng.Intn(int(now))), bytes: rng.Intn(512) + 1})
 	}
-	runEquivalence(t, 2, 10*Nanosecond, 8e9, 50*Nanosecond, long)
+	equivRun(t, equivConfig{capacity: 2, overhead: 10 * Nanosecond, bytesPerSec: 8e9, propagation: 50 * Nanosecond}, long, 0)
+}
+
+// FuzzPlacementEquivalence decodes bytes into an Acquire/Occupy stream
+// and checks it start-for-start against linearResource. The header
+// picks the capacity, the gap-table limit (small limits reach eviction
+// and compaction within a short input) and the service rates; each
+// following 4-byte group is one op.
+func FuzzPlacementEquivalence(f *testing.F) {
+	f.Add([]byte{0, 255, 1, 0x01, 10, 0, 100, 0x02, 0, 0, 50})
+	f.Add([]byte{5, 20, 2, 0x01, 200, 1, 0, 0x06, 40, 0, 5, 0x03, 0, 0, 9, 0x05, 1, 2, 3})
+	f.Add([]byte{3, 3, 0, 0x01, 1, 0, 1, 0x01, 1, 0, 1, 0x02, 2, 0, 1, 0x07, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 3 {
+			return
+		}
+		cfg := equivConfig{
+			capacity: 1 + int(b[0]%8),
+			limit:    1 + int(b[1]),
+			overhead: Duration(b[2]>>2) * Nanosecond,
+		}
+		cfg.bytesPerSec = [...]float64{0, 1e9, 16e9, 64e9}[b[2]&3]
+		if cfg.bytesPerSec == 0 && cfg.overhead == 0 {
+			cfg.overhead = Nanosecond
+		}
+		var ops []equivOp
+		now := 100 * Microsecond
+		for p := b[3:]; len(p) >= 4; p = p[4:] {
+			arg := Duration(p[1])
+			switch p[0] & 3 {
+			case 0: // same instant
+			case 1: // small step forward
+				now += arg * 10 * Picosecond
+			case 2: // leap forward
+				now += arg * 100 * Nanosecond
+			case 3: // backdated, as a later request walked at an earlier time
+				now = max(0, now-arg*200*Nanosecond)
+			}
+			size := int(p[2])<<8 | int(p[3])
+			if p[0]&4 != 0 {
+				ops = append(ops, equivOp{now: now, occupy: Duration(size) * Picosecond * 100})
+			} else {
+				ops = append(ops, equivOp{now: now, bytes: size})
+			}
+		}
+		equivRun(t, cfg, ops, 1)
+	})
 }
 
 func TestResourceResetClearsGapTable(t *testing.T) {
 	r := NewResource("x", 1, 0, 1e9, 0)
 	r.Acquire(Microsecond, 100) // opens gap [0, 1us)
-	if r.gaps.len() != 1 {
-		t.Fatalf("live gaps=%d, want 1", r.gaps.len())
+	if r.gaps.live != 1 {
+		t.Fatalf("live gaps=%d, want 1", r.gaps.live)
 	}
 	r.Reset()
-	if r.gaps.len() != 0 {
-		t.Fatalf("Reset left %d gaps", r.gaps.len())
+	if r.gaps.live != 0 {
+		t.Fatalf("Reset left %d gaps", r.gaps.live)
 	}
 	// Post-reset behaviour matches a fresh resource.
 	s, _ := r.Acquire(0, 100)

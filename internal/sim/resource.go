@@ -16,7 +16,7 @@ type Resource struct {
 	propagation Duration // added to completion, does not occupy a server
 
 	free serverHeap // min-heap of per-server next-free times
-	gaps *gapTable  // backfillable idle windows, oldest first
+	gaps gapTable   // backfillable idle windows
 
 	// Accumulated statistics.
 	ops      int64
@@ -50,8 +50,8 @@ func NewResource(name string, capacity int, overhead Duration, bytesPerSec float
 		capacity:    capacity,
 		overhead:    overhead,
 		propagation: propagation,
-		gaps:        newGapTable(),
 	}
+	r.gaps.limit = maxGaps
 	if bytesPerSec > 0 {
 		r.psPerByte = float64(Second) / bytesPerSec
 	}
@@ -105,38 +105,23 @@ func (r *Resource) Acquire(now Time, bytes int) (start, done Time) {
 
 // place finds the earliest service slot of length occupy at or after
 // now: first by backfilling a remembered idle gap, then at the earliest
-// server frontier (recording any idle window this opens). The gap
-// lookup is indexed (see gapTable) but chooses the same slot the
-// original linear scan over the age-ordered gap list would have.
+// server frontier, recording any idle window this opens. The gap table
+// keeps the oldest windows out when full; old gaps are the least likely
+// to be backfillable by future arrivals.
 func (r *Resource) place(now Time, occupy Duration) Time {
-	if slot, s := r.gaps.search(now, occupy); slot >= 0 {
-		g := r.gaps.take(slot)
-		// Replace the consumed gap with its (up to two) remainders.
-		if s > g.start {
-			r.recordGap(g.start, s)
+	if r.gaps.live > 0 {
+		if s, ok := r.gaps.backfill(now, occupy); ok {
+			return s
 		}
-		if s+occupy < g.end {
-			r.recordGap(s+occupy, g.end)
-		}
-		return s
 	}
 	frontier := r.free[0]
 	start := Max(now, frontier)
 	if start > frontier {
-		r.recordGap(frontier, start)
+		r.gaps.add(frontier, start)
 	}
 	r.free[0] = start + occupy
 	r.free.fixRoot()
 	return start
-}
-
-func (r *Resource) recordGap(start, end Time) {
-	if end <= start {
-		return
-	}
-	// gapTable.add drops the oldest window when full; old gaps are the
-	// least likely to be backfillable by future arrivals.
-	r.gaps.add(gap{start: start, end: end})
 }
 
 // Occupy books a server for `dur` starting at or after `now`,

@@ -53,6 +53,7 @@ import (
 
 	"rambda/internal/chainrep"
 	"rambda/internal/experiments"
+	"rambda/internal/kvs"
 	"rambda/internal/lsm"
 	"rambda/internal/rnic"
 	"rambda/internal/runner"
@@ -89,7 +90,7 @@ type report struct {
 	Micro         map[string]microResult  `json:"micro"`
 }
 
-// microKernels names each sim kernel timed by the harness. RNGUint64 is
+// microKernels names each kernel timed by the harness. RNGUint64 is
 // also the calibration reference and is timed first, separately.
 var microKernels = []struct {
 	name string
@@ -111,6 +112,8 @@ var microKernels = []struct {
 	{"MigrationFailoverReplay", func(n int) { scaleout.BenchMigrationFailoverReplay(n) }},
 	{"LSMReadHotPath", func(n int) { lsm.BenchReadHotPath(n) }},
 	{"ScanMerge", func(n int) { lsm.BenchScanMerge(n) }},
+	{"KVSPreload", func(n int) { kvs.BenchPreload(n) }},
+	{"KVSImageLoad", func(n int) { kvs.BenchImageLoad(n) }},
 }
 
 func main() {

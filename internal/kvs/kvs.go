@@ -73,7 +73,6 @@ type Config struct {
 
 // Store is the key-value store.
 type Store struct {
-	space *memspace.Space
 	index *memspace.Region
 	pool  *memspace.Region
 	slab  *slabAllocator
@@ -96,7 +95,6 @@ func New(space *memspace.Space, cfg Config) *Store {
 	index := space.Alloc("kvs-index", uint64(n)*bucketBytes, cfg.Kind)
 	pool := space.Alloc("kvs-pool", cfg.PoolBytes, cfg.Kind)
 	return &Store{
-		space: space,
 		index: index,
 		pool:  pool,
 		slab:  newSlabAllocator(pool.Range),
@@ -138,43 +136,42 @@ func tagOf(h uint64) uint16 {
 
 const chainTag = 0xFFFF
 
-// zeroBucket is the shared zero-fill source for freshly chained
-// buckets; memspace.Write copies from it, so sharing is safe.
-var zeroBucket [bucketBytes]byte
-
-// slot helpers: a slot is [2B tag][6B item address].
-func (s *Store) readSlot(bkt memspace.Addr, i int) (uint16, memspace.Addr) {
-	raw := s.space.Slice(bkt+memspace.Addr(i*slotBytes), slotBytes)
-	tag := binary.LittleEndian.Uint16(raw[0:2])
-	var a [8]byte
-	copy(a[:6], raw[2:8])
-	addr := memspace.Addr(binary.LittleEndian.Uint64(a[:]))
-	return tag, addr
+// bucket returns the 64 bytes of the bucket at bkt from whichever
+// region holds it — the index for home buckets, the pool for chained
+// ones — so one bounds check covers a probe's 7 slots and chain pointer.
+func (s *Store) bucket(bkt memspace.Addr) []byte {
+	if s.index.Contains(bkt) {
+		return s.index.Slice(bkt, bucketBytes)
+	}
+	return s.pool.Slice(bkt, bucketBytes)
 }
 
-func (s *Store) writeSlot(bkt memspace.Addr, i int, tag uint16, addr memspace.Addr) {
-	raw := s.space.Slice(bkt+memspace.Addr(i*slotBytes), slotBytes)
-	binary.LittleEndian.PutUint16(raw[0:2], tag)
-	var a [8]byte
-	binary.LittleEndian.PutUint64(a[:], uint64(addr))
-	copy(raw[2:8], a[:6])
+// slot helpers: a slot is [2B tag][6B item address], little-endian, so
+// the whole slot is the 64-bit word tag | addr<<16.
+func readSlot(b []byte, i int) (uint16, memspace.Addr) {
+	w := binary.LittleEndian.Uint64(b[i*slotBytes:])
+	return uint16(w), memspace.Addr(w >> 16)
 }
 
-// writeItem serializes a key-value pair at addr.
+func writeSlot(b []byte, i int, tag uint16, addr memspace.Addr) {
+	binary.LittleEndian.PutUint64(b[i*slotBytes:], uint64(tag)|uint64(addr)<<16)
+}
+
+// writeItem serializes a key-value pair at addr in the pool.
 func (s *Store) writeItem(addr memspace.Addr, key, val []byte) {
-	buf := s.space.Slice(addr, itemHdrBytes+len(key)+len(val))
+	buf := s.pool.Slice(addr, itemBytes(key, val))
 	binary.LittleEndian.PutUint16(buf[0:2], uint16(len(key)))
 	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(val)))
 	copy(buf[itemHdrBytes:], key)
 	copy(buf[itemHdrBytes+len(key):], val)
 }
 
-// readItem deserializes the item at addr.
+// readItem deserializes the item at addr in the pool.
 func (s *Store) readItem(addr memspace.Addr) (key, val []byte) {
-	hdr := s.space.Slice(addr, itemHdrBytes)
+	hdr := s.pool.Slice(addr, itemHdrBytes)
 	kl := int(binary.LittleEndian.Uint16(hdr[0:2]))
 	vl := int(binary.LittleEndian.Uint32(hdr[2:6]))
-	body := s.space.Slice(addr+itemHdrBytes, kl+vl)
+	body := s.pool.Slice(addr+itemHdrBytes, kl+vl)
 	return body[:kl], body[kl : kl+vl]
 }
 
@@ -201,8 +198,9 @@ func (s *Store) GetInto(dst []byte, trace []Access, key []byte) ([]byte, []Acces
 	bkt := s.bucketAddr(h)
 	for {
 		trace = append(trace, Access{Addr: bkt, Bytes: bucketBytes})
+		b := s.bucket(bkt)
 		for i := 0; i < slotsPerBkt; i++ {
-			t, addr := s.readSlot(bkt, i)
+			t, addr := readSlot(b, i)
 			if t != tag {
 				continue
 			}
@@ -214,7 +212,7 @@ func (s *Store) GetInto(dst []byte, trace []Access, key []byte) ([]byte, []Acces
 			trace = append(trace, Access{Addr: addr + memspace.Addr(itemHdrBytes+len(k)), Bytes: len(v)})
 			return append(dst, v...), trace, true
 		}
-		ct, next := s.readSlot(bkt, slotsPerBkt)
+		ct, next := readSlot(b, slotsPerBkt)
 		if ct != chainTag {
 			s.misses++
 			return dst, trace, false
@@ -241,15 +239,17 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 	bkt := s.bucketAddr(h)
 
 	var freeBkt memspace.Addr
+	var freeB, lastB []byte
 	freeSlot := -1
 	lastBkt := bkt
 	for {
 		trace = append(trace, Access{Addr: bkt, Bytes: bucketBytes})
+		b := s.bucket(bkt)
 		for i := 0; i < slotsPerBkt; i++ {
-			t, addr := s.readSlot(bkt, i)
+			t, addr := readSlot(b, i)
 			if t == 0 {
 				if freeSlot < 0 {
-					freeBkt, freeSlot = bkt, i
+					freeBkt, freeB, freeSlot = bkt, b, i
 				}
 				continue
 			}
@@ -274,16 +274,16 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 				if err != nil {
 					return trace, err
 				}
-				s.writeSlot(bkt, i, tag, addr)
+				writeSlot(b, i, tag, addr)
 				trace = append(trace, Access{Addr: bkt, Bytes: slotBytes, Write: true})
 			}
 			s.writeItem(addr, key, val)
 			trace = append(trace, Access{Addr: addr, Bytes: itemBytes(key, val), Write: true})
 			return trace, nil
 		}
-		ct, next := s.readSlot(bkt, slotsPerBkt)
+		ct, next := readSlot(b, slotsPerBkt)
 		if ct != chainTag {
-			lastBkt = bkt
+			lastBkt, lastB = bkt, b
 			break
 		}
 		bkt = next
@@ -297,8 +297,9 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 		if err != nil {
 			return trace, fmt.Errorf("kvs: chain allocation failed: %w", err)
 		}
-		s.space.Write(nb, zeroBucket[:])
-		s.writeSlot(lastBkt, slotsPerBkt, chainTag, nb)
+		freeB = s.pool.Slice(nb, bucketBytes)
+		clear(freeB)
+		writeSlot(lastB, slotsPerBkt, chainTag, nb)
 		trace = append(trace, Access{Addr: lastBkt, Bytes: slotBytes, Write: true})
 		s.chained++
 		freeBkt, freeSlot = nb, 0
@@ -310,7 +311,7 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 	trace = append(trace, Access{Addr: addr, Bytes: slotBytes, Write: true}) // allocator metadata
 	s.writeItem(addr, key, val)
 	trace = append(trace, Access{Addr: addr, Bytes: itemBytes(key, val), Write: true})
-	s.writeSlot(freeBkt, freeSlot, tag, addr)
+	writeSlot(freeB, freeSlot, tag, addr)
 	trace = append(trace, Access{Addr: freeBkt, Bytes: slotBytes, Write: true})
 	return trace, nil
 }
@@ -332,8 +333,9 @@ func (s *Store) DeleteInto(trace []Access, key []byte) ([]Access, bool) {
 	bkt := s.bucketAddr(h)
 	for {
 		trace = append(trace, Access{Addr: bkt, Bytes: bucketBytes})
+		b := s.bucket(bkt)
 		for i := 0; i < slotsPerBkt; i++ {
-			t, addr := s.readSlot(bkt, i)
+			t, addr := readSlot(b, i)
 			if t != tag {
 				continue
 			}
@@ -343,11 +345,11 @@ func (s *Store) DeleteInto(trace []Access, key []byte) ([]Access, bool) {
 				continue
 			}
 			s.slab.release(addr, itemBytes(k, v))
-			s.writeSlot(bkt, i, 0, 0)
+			writeSlot(b, i, 0, 0)
 			trace = append(trace, Access{Addr: bkt, Bytes: slotBytes, Write: true})
 			return trace, true
 		}
-		ct, next := s.readSlot(bkt, slotsPerBkt)
+		ct, next := readSlot(b, slotsPerBkt)
 		if ct != chainTag {
 			return trace, false
 		}

@@ -148,6 +148,10 @@ func (s *Space) alloc(name string, size uint64, kind Kind, backed bool) *Region 
 	return r
 }
 
+// Next returns the base address the next allocation will get, so a
+// caller can check a layout before committing to it.
+func (s *Space) Next() Addr { return s.next }
+
 // Region finds the region containing addr, or nil.
 func (s *Space) Region(addr Addr) *Region {
 	i := sort.Search(len(s.regions), func(i int) bool {

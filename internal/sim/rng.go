@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // RNG is a small, fast, deterministic random number generator
 // (splitmix64 seeding a xoshiro256** core). Every stochastic choice in
@@ -86,7 +89,7 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // YCSB-style skew. The implementation is the standard YCSB zipfian
 // generator (Gray et al., "Quickly Generating Billion-Record Synthetic
 // Databases"). Construction is O(n) to compute the harmonic
-// normalization constant; Next is O(1).
+// normalization constant, once per (n, theta) per process; Next is O(1).
 type Zipf struct {
 	rng    *RNG
 	n      float64
@@ -115,8 +118,37 @@ func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	return z
 }
 
-// zeta computes the generalized harmonic number sum_{i=1..n} i^-theta.
+// zetaMemo caches zeta by (n, theta): every sweep point of a KVS figure
+// builds a generator over the same key count, and the sum is the whole
+// construction cost.
+var zetaMemo struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}
+
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+// zeta returns the generalized harmonic number sum_{i=1..n} i^-theta.
 func zeta(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	zetaMemo.Lock()
+	defer zetaMemo.Unlock()
+	if v, ok := zetaMemo.m[k]; ok {
+		return v
+	}
+	if zetaMemo.m == nil {
+		zetaMemo.m = make(map[zetaKey]float64)
+	}
+	v := zetaSum(n, theta)
+	zetaMemo.m[k] = v
+	return v
+}
+
+// zetaSum computes sum_{i=1..n} i^-theta term by term.
+func zetaSum(n uint64, theta float64) float64 {
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += math.Pow(1/float64(i), theta)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +134,37 @@ func TestZipfUniformLikeTail(t *testing.T) {
 	}
 	if float64(top)/draws > 0.1 {
 		t.Errorf("theta=0.01 top-1%% share %.3f, want near uniform", float64(top)/draws)
+	}
+}
+
+// TestZipfZetaMemo pins the memoized normalization: a second
+// construction over the same (n, theta) has the same fields as the
+// first and as a direct sum, and concurrent constructions (the sweep's
+// workers) agree and are race-free.
+func TestZipfZetaMemo(t *testing.T) {
+	r := NewRNG(5)
+	const n, theta = 12345, 0.97
+	a, b := NewZipf(r, n, theta), NewZipf(r, n, theta)
+	if *a != *b {
+		t.Fatalf("constructions differ: %+v vs %+v", *a, *b)
+	}
+	if a.zetaN != zetaSum(n, theta) {
+		t.Fatalf("memoized zeta %v, direct sum %v", a.zetaN, zetaSum(n, theta))
+	}
+	zs := make([]*Zipf, 8)
+	var wg sync.WaitGroup
+	for i := range zs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			zs[i] = NewZipf(r, n+1, theta)
+		}(i)
+	}
+	wg.Wait()
+	for _, z := range zs[1:] {
+		if *z != *zs[0] {
+			t.Fatalf("concurrent constructions differ: %+v vs %+v", *z, *zs[0])
+		}
 	}
 }
 

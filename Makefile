@@ -3,7 +3,7 @@
 GO ?= go
 PARALLEL ?= 0 # 0 = one worker per CPU (runner default)
 
-.PHONY: all build test race vet lint figures figures-quick bench bench-check profile clean
+.PHONY: all build test race vet lint figures figures-quick bench bench-check ab profile clean
 
 all: build test
 
@@ -49,6 +49,16 @@ bench:
 # per-figure totals) against $(BENCH_BASE). CI's bench-smoke job runs
 # the equivalent command.
 bench-check: bench
+
+# Same-machine A/B of the repository benchmark: builds perfbench at
+# $(BASE) and at HEAD in git worktrees under .bench_build/ab/, runs
+# $(PAIRS) alternating pairs of $(WORKLOAD) and prints each end-to-end
+# metric's medians, quartiles and win count. Usage:
+#   make ab BASE=main WORKLOAD=figures-quick PAIRS=10
+WORKLOAD ?= figures-quick
+PAIRS ?= 10
+ab:
+	$(GO) run ./tools/ab -base "$(BASE)" -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # CPU-profile one figure end to end, then open pprof. Usage:
 #   make profile FIG=fig8

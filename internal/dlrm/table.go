@@ -67,11 +67,13 @@ func (t *Table) RowAddr(i int) memspace.Addr {
 	return t.region.Base + memspace.Addr(i*t.RowBytes())
 }
 
-// Row decodes row i.
-func (t *Table) Row(i int) []float32 {
+// Row decodes row i into a fresh slice.
+func (t *Table) Row(i int) []float32 { return t.RowInto(make([]float32, t.Dim), i) }
+
+// RowInto decodes row i into out (len Dim) and returns it.
+func (t *Table) RowInto(out []float32, i int) []float32 {
 	raw := t.space.Slice(t.RowAddr(i), t.RowBytes())
-	out := make([]float32, t.Dim)
-	for j := range out {
+	for j := range out[:t.Dim] {
 		out[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[j*4:]))
 	}
 	return out

@@ -31,7 +31,7 @@ const breakdownMetricsInterval = 50 * sim.Microsecond
 
 // breakdownMicrobench drives the fig7 RAMBDA-cpoll configuration (the
 // intra-machine list walk) serially with the collector attached.
-func breakdownMicrobench(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) {
+func breakdownMicrobench(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry, _ *shared) {
 	m := core.NewMachine(core.MachineConfig{Name: "srv", Variant: core.AccelBase})
 	rng := sim.NewRNG(cfg.Seed)
 	const nodes = 1 << 18
@@ -62,13 +62,14 @@ func breakdownMicrobench(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) 
 }
 
 // breakdownKVS drives the fig8 RAMBDA KVS (remote clients over RDMA)
-// serially with the collector attached, GET-only uniform keys.
-func breakdownKVS(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) {
+// serially with the collector attached, GET-only uniform keys. Its
+// store comes from the sweep's quick KVS preload image.
+func breakdownKVS(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry, sh *shared) {
 	k := DefaultKVSConfig()
 	k.Keys = 1 << 18
 	k.Requests = cfg.Requests
 	k.Seed = cfg.Seed
-	r := newRambdaKVSObs(k, core.AccelBase, 1, tr, reg)
+	r := newRambdaKVSObs(k, core.AccelBase, 1, tr, reg, sh)
 	reg.SetInterval(breakdownMetricsInterval)
 
 	w := newKVSWorkload(k, false, false)
@@ -83,7 +84,7 @@ func breakdownKVS(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) {
 // breakdownPaths enumerates the instrumented request paths.
 var breakdownPaths = []struct {
 	name string
-	run  func(BreakdownConfig, *obs.Trace, *obs.Registry)
+	run  func(BreakdownConfig, *obs.Trace, *obs.Registry, *shared)
 }{
 	{"fig7/RAMBDA", breakdownMicrobench},
 	{"fig8/RAMBDA", breakdownKVS},
@@ -118,7 +119,7 @@ func breakdownRender(obsDir string, traces []*obs.Trace, regs []*obs.Registry) *
 
 // breakdownPlan enumerates the paths as runner jobs, each with its own
 // slot-indexed collector.
-func breakdownPlan(cfg BreakdownConfig, obsDir string) (func() *Table, []runner.Job) {
+func breakdownPlan(cfg BreakdownConfig, obsDir string, sh *shared) (func() *Table, []runner.Job) {
 	traces := make([]*obs.Trace, len(breakdownPaths))
 	regs := make([]*obs.Registry, len(breakdownPaths))
 	jobs := runner.Jobs("breakdown", len(breakdownPaths),
@@ -126,7 +127,7 @@ func breakdownPlan(cfg BreakdownConfig, obsDir string) (func() *Table, []runner.
 		func(i int) {
 			traces[i] = obs.NewTrace()
 			regs[i] = obs.NewRegistry()
-			breakdownPaths[i].run(cfg, traces[i], regs[i])
+			breakdownPaths[i].run(cfg, traces[i], regs[i], sh)
 		})
 	return func() *Table { return breakdownRender(obsDir, traces, regs) }, jobs
 }
@@ -135,6 +136,10 @@ func breakdownPlan(cfg BreakdownConfig, obsDir string) (func() *Table, []runner.
 // is always attached; a non-empty obsDir also exports its spans and
 // registries as obsDir/breakdown.{trace,metrics}.json.
 func BreakdownSpec(cfg BreakdownConfig, obsDir string) Spec {
-	table, jobs := breakdownPlan(cfg, obsDir)
+	return breakdownSpec(cfg, obsDir, newShared())
+}
+
+func breakdownSpec(cfg BreakdownConfig, obsDir string, sh *shared) Spec {
+	table, jobs := breakdownPlan(cfg, obsDir, sh)
 	return Spec{ID: "breakdown", Jobs: jobs, Table: table}
 }

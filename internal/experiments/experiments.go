@@ -22,13 +22,15 @@ import (
 )
 
 // Spec is one figure's parallel execution plan: the sweep enumerated as
-// independent runner jobs (each builds its own machines and RNGs and
-// writes a result slot indexed by sweep position) plus the rendering
-// step that runs after every job has completed. Exposing the jobs
-// instead of running them lets cmd/rambda-figures flatten all figures
-// into a single pool, so whole figures overlap with each other as well
-// as their own points — while the slot discipline keeps the rendered
-// output byte-identical to a sequential run.
+// independent runner jobs (each builds its own machines and RNGs, reads
+// any deterministic work it has in common with other jobs from the
+// sweep's shared table, and writes a result slot indexed by sweep
+// position) plus the rendering step that runs after every job has
+// completed. Exposing the jobs instead of running them lets
+// cmd/rambda-figures flatten all figures into a single pool, so whole
+// figures overlap with each other as well as their own points — while
+// the slot discipline keeps the rendered output byte-identical to a
+// sequential run.
 type Spec struct {
 	ID    string
 	Jobs  []runner.Job
@@ -79,6 +81,10 @@ func StandardSpecsObs(quick bool, obsDir string) []Spec {
 		yc.Keys = 1 << 13
 		yc.Requests = 4000
 	}
+	// One shared-work table per sweep: the KVS figures and breakdown
+	// share the preload image and repeated KVS points, fig13's systems
+	// share each category's inferred query stream.
+	sh := newShared()
 	// The chaos spec stays after the paper figures: figure goldens pin
 	// their print order, and non-paper experiments (chaos, breakdown,
 	// scaleout) append after them.
@@ -86,15 +92,15 @@ func StandardSpecsObs(quick bool, obsDir string) []Spec {
 		Fig1Spec(fig1Requests, 1),
 		Fig5Spec(),
 		Fig7Spec(f7),
-		Fig8Spec(kvs),
-		Fig9Spec(kvs),
-		Fig10Spec(kvs),
-		Tab3Spec(kvs),
+		fig8Spec(kvs, sh),
+		fig9Spec(kvs, sh),
+		fig10Spec(kvs, sh),
+		tab3Spec(kvs, sh),
 		Fig12Spec(f12),
-		Fig13Spec(f13),
+		fig13Spec(f13, sh),
 		ScalabilitySpec(DefaultScalabilityConfig()),
 		ChaosSpec(chaos),
-		BreakdownSpec(bd, obsDir),
+		breakdownSpec(bd, obsDir, sh),
 		ScaleoutSpec(sc, obsDir),
 		ChaosScaleoutSpec(cso, obsDir),
 		YCSBSpec(yc, obsDir),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"rambda/internal/core"
 	"rambda/internal/dlrm"
 )
 
@@ -263,20 +264,21 @@ func TestFig13Shapes(t *testing.T) {
 	cfg := Fig13Config{Queries: 5000, Dim: 64, RowScale: 0.05, Seed: 13}
 	cat := dlrm.AmazonCategories[0]
 
-	cpu1 := fig13CPU(cat, cfg, 1)
-	cpu8 := fig13CPU(cat, cfg, 8)
+	s := fig13Stream(cat, cfg, newShared())
+	cpu1 := fig13CPU(s, cfg, 1)
+	cpu8 := fig13CPU(s, cfg, 8)
 	if cpu8 < 3*cpu1 {
 		t.Fatalf("CPU-8 (%v) must scale well past CPU-1 (%v)", cpu8, cpu1)
 	}
-	base := fig13Rambda(cat, cfg, coreVariantBase())
+	base := fig13Rambda(s, cfg, core.AccelBase)
 	if base >= 0.5*cpu1 {
 		t.Fatalf("base RAMBDA (%v) must fall far below CPU-1 (%v) — paper 19.7-31.3%%", base, cpu1)
 	}
 	if base < 0.1*cpu1 {
 		t.Fatalf("base RAMBDA (%v) implausibly slow vs CPU-1 (%v)", base, cpu1)
 	}
-	ld := fig13Rambda(cat, cfg, coreVariantLD())
-	lh := fig13Rambda(cat, cfg, coreVariantLH())
+	ld := fig13Rambda(s, cfg, core.AccelLD)
+	lh := fig13Rambda(s, cfg, core.AccelLH)
 	if !(lh > ld && ld > base) {
 		t.Fatalf("want LH (%v) > LD (%v) > base (%v)", lh, ld, base)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"rambda/internal/core"
 	"rambda/internal/hostcpu"
@@ -130,12 +129,14 @@ func (w *kvsWorkload) next() kvs.Request {
 // preloadStore fills a store with the experiment's pairs: key i is
 // kvsKey(i) with an 8-byte little-endian i at the head of its value.
 //
-// Every sweep point preloads the same pairs at the same addresses, so
-// the first preload of each (Keys, ValueBytes) is recorded as a
-// kvs.Image and later ones replay it, which is byte-identical to the
-// fresh load and skips its per-key bucket probes. A space that would
-// place the store elsewhere gets the fresh load.
-func preloadStore(space *memspace.Space, kind memspace.Kind, cfg KVSConfig) *kvs.Store {
+// Every point of a sweep preloads the same pairs at the same addresses,
+// so the sweep's first preload of each (Keys, ValueBytes) records its
+// store as a kvs.Image in the sweep's shared table and later ones replay
+// it, which is byte-identical to the fresh load and skips its per-key
+// bucket probes. The region kind is not part of the key because it does
+// not change a byte of the store. A space that would place the store
+// elsewhere gets the fresh load.
+func preloadStore(space *memspace.Space, kind memspace.Kind, cfg KVSConfig, sh *shared) *kvs.Store {
 	val := make([]byte, cfg.ValueBytes)
 	var key []byte
 	last := -1
@@ -149,30 +150,31 @@ func preloadStore(space *memspace.Space, kind memspace.Kind, cfg KVSConfig) *kvs
 		last = i
 		return key, val
 	}
-	e := storeImageFor(cfg)
+	// The job that builds the image keeps the store it built.
 	var fresh *kvs.Store
-	e.once.Do(func() {
+	img := sharedGet(sh, storeImageKey{cfg.Keys, cfg.ValueBytes}, func() *kvs.Image {
 		fresh = freshStore(space, kind, cfg, fill)
 		img, err := fresh.Image()
 		if err != nil {
 			panic(err)
 		}
-		e.img = img
+		return img
 	})
 	if fresh != nil {
 		return fresh
 	}
-	if e.img != nil { // nil when the first build panicked
-		store, err := kvs.FromImage(space, kind, e.img, fill)
-		if err == nil {
-			return store
-		}
-		if !errors.Is(err, kvs.ErrImageLayout) {
-			panic(err)
-		}
+	store, err := kvs.FromImage(space, kind, img, fill)
+	if err == nil {
+		return store
+	}
+	if !errors.Is(err, kvs.ErrImageLayout) {
+		panic(err)
 	}
 	return freshStore(space, kind, cfg, fill)
 }
+
+// storeImageKey names a preload image in the shared table.
+type storeImageKey struct{ keys, valueBytes int }
 
 // freshStore builds the preloaded store with one PutInto per pair.
 func freshStore(space *memspace.Space, kind memspace.Kind, cfg KVSConfig,
@@ -194,37 +196,6 @@ func freshStore(space *memspace.Space, kind memspace.Kind, cfg KVSConfig,
 	return store
 }
 
-// storeImages caches one preload image per (Keys, ValueBytes) for the
-// life of the process; the region kind is not part of the key because
-// it does not change a byte of the store.
-var storeImages struct {
-	sync.Mutex
-	m map[[2]int]*storeImage
-}
-
-// storeImage is one cache entry: the first preloadStore for its key
-// builds the store fresh in its own space and records the image inside
-// once; concurrent callers for the same key wait for it, then replay.
-type storeImage struct {
-	once sync.Once
-	img  *kvs.Image
-}
-
-func storeImageFor(cfg KVSConfig) *storeImage {
-	storeImages.Lock()
-	defer storeImages.Unlock()
-	if storeImages.m == nil {
-		storeImages.m = make(map[[2]int]*storeImage)
-	}
-	k := [2]int{cfg.Keys, cfg.ValueBytes}
-	e := storeImages.m[k]
-	if e == nil {
-		e = &storeImage{}
-		storeImages.m[k] = e
-	}
-	return e
-}
-
 // --- RAMBDA KVS (Sec. IV-A) ---
 
 // kvsAPUCycles is the APU's per-request processing (hash unit,
@@ -243,20 +214,20 @@ type rambdaKVS struct {
 	respBuf []byte
 }
 
-func newRambdaKVS(cfg KVSConfig, variant core.AccelVariant, batch int) *rambdaKVS {
-	return newRambdaKVSObs(cfg, variant, batch, nil, nil)
+func newRambdaKVS(cfg KVSConfig, variant core.AccelVariant, batch int, sh *shared) *rambdaKVS {
+	return newRambdaKVSObs(cfg, variant, batch, nil, nil, sh)
 }
 
 // newRambdaKVSObs is newRambdaKVS with an observability collector
 // attached (the breakdown experiment); tr/reg nil is the regular
 // uninstrumented fast path.
 func newRambdaKVSObs(cfg KVSConfig, variant core.AccelVariant, batch int,
-	tr *obs.Trace, reg *obs.Registry) *rambdaKVS {
+	tr *obs.Trace, reg *obs.Registry, sh *shared) *rambdaKVS {
 	sm := core.NewMachine(core.MachineConfig{Name: "srv", Variant: variant})
 	cm := core.NewMachine(core.MachineConfig{Name: "cli"})
 	core.ConnectMachines(sm, cm)
 	kind := sm.DataKind()
-	store := preloadStore(sm.Space, kind, cfg)
+	store := preloadStore(sm.Space, kind, cfg, sh)
 	if reg != nil {
 		store.RegisterMetrics(reg, "kvs")
 	}
@@ -321,11 +292,11 @@ type cpuKVS struct {
 	respBuf []byte
 }
 
-func newCPUKVS(cfg KVSConfig, batch int, jitter bool) *cpuKVS {
+func newCPUKVS(cfg KVSConfig, batch int, jitter bool, sh *shared) *cpuKVS {
 	sm := core.NewMachine(core.MachineConfig{Name: "srv", Cores: 10}) // paper: ten server threads
 	cm := core.NewMachine(core.MachineConfig{Name: "cli"})
 	core.ConnectMachines(sm, cm)
-	store := preloadStore(sm.Space, memspace.KindDRAM, cfg)
+	store := preloadStore(sm.Space, memspace.KindDRAM, cfg, sh)
 	c := &cpuKVS{n: cfg.Connections}
 
 	h := core.CPUHandler(func(reqBytes []byte) ([]byte, hostcpu.Work) {
@@ -396,9 +367,9 @@ const snicARMCycles = 2200
 // newSNICKVS builds the SmartNIC baseline: ARM cores pipeline through
 // the eight-core pool; request batching has no further effect on the
 // dependent host-access chain.
-func newSNICKVS(cfg KVSConfig) *snicKVS {
+func newSNICKVS(cfg KVSConfig, sh *shared) *snicKVS {
 	space := memspace.New()
-	store := preloadStore(space, memspace.KindDRAM, cfg)
+	store := preloadStore(space, memspace.KindDRAM, cfg, sh)
 	nic := smartnic.New(smartnic.DefaultConfig("bf2"), newHostMem(space))
 	// Cache : data ratio follows the paper (512MB : 7GB ~= 1:14).
 	dataBytes := int64(cfg.Keys) * 160
@@ -533,24 +504,56 @@ func measureKVS(cfg KVSConfig, sys kvsCaller, skewed, writes bool, window int) *
 		})
 }
 
-// kvsSystems enumerates the Fig. 8-10 system matrix in table order.
-// Each factory builds a fresh, fully isolated system (machines, store,
-// cache), so one sweep point never observes another's state.
-func kvsSystems(cfg KVSConfig) []struct {
-	name string
-	mk   func() kvsCaller
-} {
-	return []struct {
-		name string
-		mk   func() kvsCaller
-	}{
-		{"CPU", func() kvsCaller { return newCPUKVS(cfg, cfg.Batch, false) }},
-		{"SmartNIC", func() kvsCaller { return newSNICKVS(cfg) }},
-		{"RAMBDA", func() kvsCaller { return newRambdaKVS(cfg, core.AccelBase, cfg.Batch) }},
-		{"RAMBDA-LD", func() kvsCaller { return newRambdaKVS(cfg, core.AccelLD, cfg.Batch) }},
-		{"RAMBDA-LH", func() kvsCaller { return newRambdaKVS(cfg, core.AccelLH, cfg.Batch) }},
-	}
+// kvsPoint is one distinct KVS operating point: a system built with a
+// response batch, driven by a client window under a key distribution
+// and workload mix. Figs. 8 and 10 and Tab. III revisit some of the
+// same points, so the sweep's shared table measures each once.
+type kvsPoint struct {
+	System string // CPU, SmartNIC, RAMBDA, RAMBDA-LD or RAMBDA-LH
+	Jitter bool   // CPU only: the server's scheduling hiccups
+	Batch  int
+	Window int
+	Skewed bool
+	Writes bool
+	Cfg    KVSConfig
 }
+
+// kvsStats is what the tables read from a point's run. It is computed
+// inside the shared cell, so sharers never touch the run's histogram.
+type kvsStats struct {
+	Throughput float64
+	Mean, P99  sim.Time
+}
+
+// measure runs the point, or returns its stats if another job of the
+// sweep already did.
+func (p kvsPoint) measure(sh *shared) kvsStats {
+	return sharedGet(sh, p, func() kvsStats {
+		res := measureKVS(p.Cfg, p.build(sh), p.Skewed, p.Writes, p.Window)
+		return kvsStats{Throughput: res.Throughput, Mean: res.Latency.Mean(), P99: res.Latency.P99()}
+	})
+}
+
+// build makes the point's system fresh and fully isolated (machines,
+// store, cache), so one point never observes another's state.
+func (p kvsPoint) build(sh *shared) kvsCaller {
+	switch p.System {
+	case "CPU":
+		return newCPUKVS(p.Cfg, p.Batch, p.Jitter, sh)
+	case "SmartNIC":
+		return newSNICKVS(p.Cfg, sh)
+	case "RAMBDA":
+		return newRambdaKVS(p.Cfg, core.AccelBase, p.Batch, sh)
+	case "RAMBDA-LD":
+		return newRambdaKVS(p.Cfg, core.AccelLD, p.Batch, sh)
+	case "RAMBDA-LH":
+		return newRambdaKVS(p.Cfg, core.AccelLH, p.Batch, sh)
+	}
+	panic(fmt.Sprintf("experiments: unknown KVS system %q", p.System))
+}
+
+// kvsSystems is the Figs. 8-9 system matrix in table order.
+var kvsSystems = []string{"CPU", "SmartNIC", "RAMBDA", "RAMBDA-LD", "RAMBDA-LH"}
 
 var kvsDists = []struct {
 	name   string
@@ -558,44 +561,33 @@ var kvsDists = []struct {
 }{{"uniform", false}, {"zipf", true}}
 
 // fig8Plan enumerates (system x dist x workload) as runner jobs.
-func fig8Plan(cfg KVSConfig) ([]Fig8Row, []runner.Job) {
-	systems := kvsSystems(cfg)
+func fig8Plan(cfg KVSConfig, sh *shared) ([]Fig8Row, []runner.Job) {
 	workloads := []struct {
 		name   string
 		writes bool
 	}{{"get", false}, {"mixed", true}}
 
-	type point struct {
-		system string
-		mk     func() kvsCaller
-		dist   string
-		skewed bool
-		wl     string
-		writes bool
-	}
-	var points []point
-	for _, s := range systems {
+	var rows []Fig8Row
+	var points []kvsPoint
+	for _, s := range kvsSystems {
 		for _, dist := range kvsDists {
 			for _, wl := range workloads {
-				points = append(points, point{s.name, s.mk, dist.name, dist.skewed, wl.name, wl.writes})
+				rows = append(rows, Fig8Row{System: s, Dist: dist.name, Workload: wl.name})
+				points = append(points, kvsPoint{System: s, Batch: cfg.Batch, Window: cfg.Batch,
+					Skewed: dist.skewed, Writes: wl.writes, Cfg: cfg})
 			}
 		}
 	}
-	rows := make([]Fig8Row, len(points))
 	jobs := runner.Jobs("fig8", len(points),
-		func(i int) string { return points[i].system + "/" + points[i].dist + "/" + points[i].wl },
-		func(i int) {
-			p := points[i]
-			res := measureKVS(cfg, p.mk(), p.skewed, p.writes, cfg.Batch)
-			rows[i] = Fig8Row{System: p.system, Dist: p.dist, Workload: p.wl, Throughput: res.Throughput}
-		})
+		func(i int) string { return rows[i].System + "/" + rows[i].Dist + "/" + rows[i].Workload },
+		func(i int) { rows[i].Throughput = points[i].measure(sh).Throughput })
 	return rows, jobs
 }
 
 // Fig8 measures peak throughput (batch 32) for every design under both
 // distributions and workload mixes.
 func Fig8(cfg KVSConfig) []Fig8Row {
-	rows, jobs := fig8Plan(cfg)
+	rows, jobs := fig8Plan(cfg, newShared())
 	runner.MustRun(0, jobs)
 	return rows
 }
@@ -616,8 +608,10 @@ func fig8Render(rows []Fig8Row) *Table {
 }
 
 // Fig8Spec exposes the sweep for a shared pool.
-func Fig8Spec(cfg KVSConfig) Spec {
-	rows, jobs := fig8Plan(cfg)
+func Fig8Spec(cfg KVSConfig) Spec { return fig8Spec(cfg, newShared()) }
+
+func fig8Spec(cfg KVSConfig, sh *shared) Spec {
+	rows, jobs := fig8Plan(cfg, sh)
 	return Spec{ID: "fig8", Jobs: jobs, Table: func() *Table { return fig8Render(rows) }}
 }
 
@@ -631,45 +625,32 @@ type Fig9Row struct {
 
 // fig9Plan enumerates (system x dist) latency points as runner jobs.
 // Latency is measured at moderate load so path latency and jitter, not
-// closed-loop equilibrium, dominate. The SmartNIC saturates far below
-// the others; its latency is measured at a sustainable load (window 1),
-// like the paper's per-system latency runs.
-func fig9Plan(cfg KVSConfig) ([]Fig9Row, []runner.Job) {
-	systems := []struct {
-		name        string
-		tailApplies bool
-		window      int
-		mk          func() kvsCaller
-	}{
-		{"CPU", true, 8, func() kvsCaller { return newCPUKVS(cfg, cfg.Batch, true) }},
-		{"SmartNIC", true, 1, func() kvsCaller { return newSNICKVS(cfg) }},
-		{"RAMBDA", true, 8, func() kvsCaller { return newRambdaKVS(cfg, core.AccelBase, cfg.Batch) }},
-		{"RAMBDA-LD", false, 8, func() kvsCaller { return newRambdaKVS(cfg, core.AccelLD, cfg.Batch) }},
-		{"RAMBDA-LH", false, 8, func() kvsCaller { return newRambdaKVS(cfg, core.AccelLH, cfg.Batch) }},
-	}
-	type point struct {
-		sys    int
-		dist   string
-		skewed bool
-	}
-	var points []point
-	for si := range systems {
+// closed-loop equilibrium, dominate: window 8, with the CPU server's
+// scheduling jitter on. The SmartNIC saturates far below the others;
+// its latency is measured at a sustainable load (window 1), like the
+// paper's per-system latency runs. LD/LH emulation reports no tail.
+func fig9Plan(cfg KVSConfig, sh *shared) ([]Fig9Row, []runner.Job) {
+	var rows []Fig9Row
+	var points []kvsPoint
+	for _, s := range kvsSystems {
+		window := 8
+		if s == "SmartNIC" {
+			window = 1
+		}
 		for _, dist := range kvsDists {
-			points = append(points, point{si, dist.name, dist.skewed})
+			rows = append(rows, Fig9Row{System: s, Dist: dist.name})
+			points = append(points, kvsPoint{System: s, Jitter: s == "CPU", Batch: cfg.Batch,
+				Window: window, Skewed: dist.skewed, Cfg: cfg})
 		}
 	}
-	rows := make([]Fig9Row, len(points))
 	jobs := runner.Jobs("fig9", len(points),
-		func(i int) string { return systems[points[i].sys].name + "/" + points[i].dist },
+		func(i int) string { return rows[i].System + "/" + rows[i].Dist },
 		func(i int) {
-			p := points[i]
-			s := systems[p.sys]
-			res := measureKVS(cfg, s.mk(), p.skewed, false, s.window)
-			row := Fig9Row{System: s.name, Dist: p.dist, Avg: res.Latency.Mean()}
-			if s.tailApplies {
-				row.P99 = res.Latency.P99()
+			st := points[i].measure(sh)
+			rows[i].Avg = st.Mean
+			if s := rows[i].System; s != "RAMBDA-LD" && s != "RAMBDA-LH" {
+				rows[i].P99 = st.P99
 			}
-			rows[i] = row
 		})
 	return rows, jobs
 }
@@ -677,7 +658,7 @@ func fig9Plan(cfg KVSConfig) ([]Fig9Row, []runner.Job) {
 // Fig9 measures average and tail latency under moderate load (100%
 // GET, batch 32).
 func Fig9(cfg KVSConfig) []Fig9Row {
-	rows, jobs := fig9Plan(cfg)
+	rows, jobs := fig9Plan(cfg, newShared())
 	runner.MustRun(0, jobs)
 	return rows
 }
@@ -703,8 +684,10 @@ func fig9Render(rows []Fig9Row) *Table {
 }
 
 // Fig9Spec exposes the sweep for a shared pool.
-func Fig9Spec(cfg KVSConfig) Spec {
-	rows, jobs := fig9Plan(cfg)
+func Fig9Spec(cfg KVSConfig) Spec { return fig9Spec(cfg, newShared()) }
+
+func fig9Spec(cfg KVSConfig, sh *shared) Spec {
+	rows, jobs := fig9Plan(cfg, sh)
 	return Spec{ID: "fig9", Jobs: jobs, Table: func() *Table { return fig9Render(rows) }}
 }
 
@@ -720,36 +703,26 @@ type Fig10Row struct {
 // clients pipeline `batch` requests per connection (the batch is their
 // window); RAMBDA needs no request batching — its batch knob only
 // amortizes response doorbells, and the client window stays at the ring
-// depth (paper Sec. VI-B).
-func fig10Plan(cfg KVSConfig) ([]Fig10Row, []runner.Job) {
-	batches := []int{1, 2, 4, 8, 16, 32}
-	systems := []struct {
-		name string
-		mk   func(batch int) kvsCaller
-		win  func(batch int) int
-	}{
-		{"CPU", func(b int) kvsCaller { return newCPUKVS(cfg, b, false) }, func(b int) int { return b }},
-		{"SmartNIC", func(int) kvsCaller { return newSNICKVS(cfg) }, func(b int) int { return b }},
-		{"RAMBDA", func(b int) kvsCaller { return newRambdaKVS(cfg, core.AccelBase, b) }, func(int) int { return cfg.Batch }},
-	}
-	type point struct {
-		sys   int
-		batch int
-	}
-	var points []point
-	for si := range systems {
-		for _, b := range batches {
-			points = append(points, point{si, b})
+// depth (paper Sec. VI-B). At batch 32 every system is at its Fig. 8
+// zipf GET point.
+func fig10Plan(cfg KVSConfig, sh *shared) ([]Fig10Row, []runner.Job) {
+	var rows []Fig10Row
+	var points []kvsPoint
+	for _, s := range []string{"CPU", "SmartNIC", "RAMBDA"} {
+		for _, b := range []int{1, 2, 4, 8, 16, 32} {
+			window := b
+			if s == "RAMBDA" {
+				window = cfg.Batch
+			}
+			rows = append(rows, Fig10Row{System: s, Batch: b})
+			points = append(points, kvsPoint{System: s, Batch: b, Window: window, Skewed: true, Cfg: cfg})
 		}
 	}
-	rows := make([]Fig10Row, len(points))
 	jobs := runner.Jobs("fig10", len(points),
-		func(i int) string { return fmt.Sprintf("%s/batch=%d", systems[points[i].sys].name, points[i].batch) },
+		func(i int) string { return fmt.Sprintf("%s/batch=%d", rows[i].System, rows[i].Batch) },
 		func(i int) {
-			p := points[i]
-			s := systems[p.sys]
-			res := measureKVS(cfg, s.mk(p.batch), true, false, s.win(p.batch))
-			rows[i] = Fig10Row{System: s.name, Batch: p.batch, Throughput: res.Throughput, Avg: res.Latency.Mean()}
+			st := points[i].measure(sh)
+			rows[i].Throughput, rows[i].Avg = st.Throughput, st.Mean
 		})
 	return rows, jobs
 }
@@ -757,7 +730,7 @@ func fig10Plan(cfg KVSConfig) ([]Fig10Row, []runner.Job) {
 // Fig10 sweeps the batch size on the Zipf GET workload. The client
 // window equals the batch size (HERD clients post batches of B).
 func Fig10(cfg KVSConfig) []Fig10Row {
-	rows, jobs := fig10Plan(cfg)
+	rows, jobs := fig10Plan(cfg, newShared())
 	runner.MustRun(0, jobs)
 	return rows
 }
@@ -778,8 +751,10 @@ func fig10Render(rows []Fig10Row) *Table {
 }
 
 // Fig10Spec exposes the sweep for a shared pool.
-func Fig10Spec(cfg KVSConfig) Spec {
-	rows, jobs := fig10Plan(cfg)
+func Fig10Spec(cfg KVSConfig) Spec { return fig10Spec(cfg, newShared()) }
+
+func fig10Spec(cfg KVSConfig, sh *shared) Spec {
+	rows, jobs := fig10Plan(cfg, sh)
 	return Spec{ID: "fig10", Jobs: jobs, Table: func() *Table { return fig10Render(rows) }}
 }
 
@@ -792,23 +767,17 @@ type Tab3Row struct {
 
 // tab3Plan enumerates the three power-efficiency measurements at the
 // Fig. 8 uniform-GET operating point.
-func tab3Plan(cfg KVSConfig) ([]Tab3Row, []runner.Job) {
-	systems := []struct {
-		name  string
-		watts float64
-		mk    func() kvsCaller
-	}{
-		{"CPU", power.CPUFullLoad, func() kvsCaller { return newCPUKVS(cfg, cfg.Batch, false) }},
-		{"SmartNIC", power.SmartNICARMs, func() kvsCaller { return newSNICKVS(cfg) }},
-		{"RAMBDA", power.RambdaFPGA, func() kvsCaller { return newRambdaKVS(cfg, core.AccelBase, cfg.Batch) }},
+func tab3Plan(cfg KVSConfig, sh *shared) ([]Tab3Row, []runner.Job) {
+	rows := []Tab3Row{
+		{System: "CPU", Watts: power.CPUFullLoad},
+		{System: "SmartNIC", Watts: power.SmartNICARMs},
+		{System: "RAMBDA", Watts: power.RambdaFPGA},
 	}
-	rows := make([]Tab3Row, len(systems))
-	jobs := runner.Jobs("tab3", len(systems),
-		func(i int) string { return systems[i].name },
+	jobs := runner.Jobs("tab3", len(rows),
+		func(i int) string { return rows[i].System },
 		func(i int) {
-			s := systems[i]
-			tput := measureKVS(cfg, s.mk(), false, false, cfg.Batch).Throughput
-			rows[i] = Tab3Row{System: s.name, Watts: s.watts, KopPerW: power.KopsPerWatt(tput, s.watts)}
+			p := kvsPoint{System: rows[i].System, Batch: cfg.Batch, Window: cfg.Batch, Cfg: cfg}
+			rows[i].KopPerW = power.KopsPerWatt(p.measure(sh).Throughput, rows[i].Watts)
 		})
 	return rows, jobs
 }
@@ -816,7 +785,7 @@ func tab3Plan(cfg KVSConfig) ([]Tab3Row, []runner.Job) {
 // Tab3 computes power efficiency at the Fig. 8 uniform-GET operating
 // point using the paper's measured component wattages.
 func Tab3(cfg KVSConfig) []Tab3Row {
-	rows, jobs := tab3Plan(cfg)
+	rows, jobs := tab3Plan(cfg, newShared())
 	runner.MustRun(0, jobs)
 	return rows
 }
@@ -838,8 +807,10 @@ func tab3Render(rows []Tab3Row) *Table {
 }
 
 // Tab3Spec exposes the sweep for a shared pool.
-func Tab3Spec(cfg KVSConfig) Spec {
-	rows, jobs := tab3Plan(cfg)
+func Tab3Spec(cfg KVSConfig) Spec { return tab3Spec(cfg, newShared()) }
+
+func tab3Spec(cfg KVSConfig, sh *shared) Spec {
+	rows, jobs := tab3Plan(cfg, sh)
 	return Spec{ID: "tab3", Jobs: jobs, Table: func() *Table { return tab3Render(rows) }}
 }
 

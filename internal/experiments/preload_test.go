@@ -11,12 +11,14 @@ import (
 )
 
 // TestPreloadStoreConcurrentCallersMatchFresh races preloadStore callers
-// for one (Keys, ValueBytes), DRAM and accel-local mixed, against a
-// fresh build: whichever caller builds the cached image and whichever
-// replay it, every store must hold the same bytes and Stats.
+// sharing one table, for one (Keys, ValueBytes), DRAM and accel-local
+// mixed, against a fresh build: whichever caller builds the table's
+// image and whichever replay it, every store must hold the same bytes
+// and Stats.
 func TestPreloadStoreConcurrentCallersMatchFresh(t *testing.T) {
 	cfg := DefaultKVSConfig()
-	cfg.Keys = 3000 // a size no other test preloads, so this test builds the image
+	cfg.Keys = 3000
+	sh := newShared()
 	type built struct {
 		space *memspace.Space
 		store *kvs.Store
@@ -33,7 +35,7 @@ func TestPreloadStoreConcurrentCallersMatchFresh(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			space := memspace.New()
-			got[i] = built{space, preloadStore(space, kind, cfg), kind}
+			got[i] = built{space, preloadStore(space, kind, cfg, sh), kind}
 		}(i)
 	}
 	wg.Wait()
@@ -71,7 +73,7 @@ func TestPreloadStoreConcurrentCallersMatchFresh(t *testing.T) {
 	// fresh build there.
 	space := memspace.New()
 	space.Alloc("other", 64, memspace.KindDRAM)
-	moved := preloadStore(space, memspace.KindDRAM, cfg)
+	moved := preloadStore(space, memspace.KindDRAM, cfg, sh)
 	if moved.IndexRange().Base == wantStore.IndexRange().Base || moved.Stats() != wantStore.Stats() {
 		t.Fatalf("moved store: index %+v stats %+v", moved.IndexRange(), moved.Stats())
 	}
